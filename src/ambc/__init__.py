@@ -10,13 +10,11 @@ and a deterministic Monte Carlo sweep harness with a CLI.
 from .config import E_X, EmConfig, Scheme, SimParams
 from .channel import (ChannelRealization, CirProfile, cir_to_freq,
                       sample_cir, sample_realization)
-from .ofdm import Constellation, gen_frame, qam4, qam_detect
-from .bd import (BdBits, backscatter_component, backscatter_frame,
-                 camf_waveform, cuif_waveform, sample_bits)
-from .receiver import (DetectionResult, EmState, ReceivedSlot, em_e_step,
-                       em_m_step_unconstrained, em_run, energy_detect,
-                       genie_detect, project_common_phase, receive,
-                       threshold_sweep)
+from .ofdm import Constellation, gen_frame, qam4
+from .bd import BdBits, backscatter_frame, sample_bits
+from .receiver import (DetectionResult, ReceivedSlot, em_e_step,
+                       em_m_step_unconstrained, em_run, genie_detect,
+                       project_common_phase, receive, threshold_sweep)
 from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_chiani,
                        ber_cuif_closed, ber_cuif_conditional,
                        ber_unknown_symbols, q_function, snr_db_to_gamma_x,

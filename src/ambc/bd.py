@@ -1,4 +1,4 @@
-"""Backscatter device model: bits, transmitter filter, reflected component."""
+"""Backscatter device model: bits and the reflected signal."""
 
 from __future__ import annotations
 
@@ -34,41 +34,9 @@ def sample_bits(M: int, rng: np.random.Generator,
     return BdBits(s, pilot_first=pilot_first)
 
 
-def cuif_waveform(s_m: int, L: int) -> np.ndarray:
-    """Impulse filter: b = 1 * s_m, ||b||^2 = L."""
-    if s_m not in (-1, 1):
-        raise ValueError("s_m must be in {-1, +1}")
-    return np.full(L, float(s_m), dtype=complex)
-
-
-def camf_waveform(s_m: int, G: np.ndarray) -> np.ndarray:
-    """Matched filter: b = s_m * kappa * conj(G) with kappa = sqrt(L)/||G||."""
-    if s_m not in (-1, 1):
-        raise ValueError("s_m must be in {-1, +1}")
-    G = np.asarray(G)
-    norm = np.linalg.norm(G)
-    if norm == 0:
-        raise ValueError("G is identically zero; matched filter undefined")
-    kappa = np.sqrt(G.size) / norm
-    return s_m * kappa * np.conj(G)
-
-
-def backscatter_component(scheme: Scheme, realization: ChannelRealization,
-                          x_m: np.ndarray, s_m: int) -> np.ndarray:
-    """Reflected frequency-domain signal a_m for one OFDM symbol.
-
-    CUIF: a_l = beta G_l x_l s_m; CAMF: a_l = beta_tilde |G_l|^2 x_l s_m.
-    """
-    if scheme in (Scheme.CAMF, Scheme.GENIE_CAMF):
-        return realization.beta_tilde * realization.V * x_m * s_m
-    return realization.beta * realization.G * x_m * s_m
-
-
 def backscatter_frame(scheme: Scheme, realization: ChannelRealization,
                       frame: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a for a whole slot: column m is backscatter_component(..., x_m, s_m)."""
-    if scheme in (Scheme.CAMF, Scheme.GENIE_CAMF):
-        gain = realization.beta_tilde * realization.V
-    else:
-        gain = realization.beta * realization.G
+    """Reflected frequency-domain signal of a whole slot: column m is
+    C x_m s_m with C = realization.effective_gain(scheme)."""
+    gain = realization.effective_gain(scheme)
     return gain[:, None] * frame * np.asarray(s)[None, :]

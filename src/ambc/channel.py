@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimParams
+from .config import Scheme, SimParams
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,18 @@ class ChannelRealization:
     kappa: float             # sqrt(L) / ||G||
     beta_tilde: complex      # beta * kappa
     V: np.ndarray            # |G_l|^2, nonnegative
+
+    def effective_gain(self, scheme: Scheme) -> np.ndarray:
+        """Per-subcarrier backscatter channel C the reader sees, where the
+        reflected signal is a_lm = C_l x_lm s_m.
+
+        CAMF (the tag filters with kappa conj(G)): beta_tilde |G_l|^2, one
+        common phase and nonnegative magnitudes. CUIF and the on-off energy
+        baseline (impulse filter): beta G_l.
+        """
+        if scheme in (Scheme.CAMF, Scheme.GENIE_CAMF):
+            return self.beta_tilde * self.V
+        return self.beta * self.G
 
 
 def sample_cir(profile: CirProfile, rng: np.random.Generator) -> np.ndarray:

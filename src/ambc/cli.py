@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analysis, montecarlo
-from .config import EmConfig, Scheme, SimParams
+from .config import SWEEP_AXES, EmConfig, Scheme, SimParams
 
 SCHEMA_VERSION = "ambc-results-v1"
 CSV_COLUMNS = ["scheme", "axis", "value", "L", "M", "P", "alpha2", "snr_db",
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scheme", action="append", default=None,
                         help="detector scheme (repeatable); default CAMF and CUIF")
     parser.add_argument("--axis", default="snr_db",
-                        choices=montecarlo.SWEEP_AXES)
+                        choices=SWEEP_AXES)
     parser.add_argument("--values", default=None,
                         help="comma-separated axis values; default 0..8 dB")
     parser.add_argument("--L", type=int, default=32)
@@ -96,17 +96,20 @@ def parse_args(argv) -> RunSpec:
             values = tuple(float(v) for v in args.values.split(","))
         except ValueError:
             parser.error(f"--values: cannot parse {args.values!r}")
-    em = EmConfig(n_iter_max=args.niter, epsilon=args.epsilon)
+    _check_workers(parser, args.workers)
     sweeps = []
-    for scheme in scheme_objs:
-        try:
+    try:
+        em = EmConfig(n_iter_max=args.niter, epsilon=args.epsilon)
+        for scheme in scheme_objs:
             params = SimParams(L=args.L, M=args.M, P=args.P,
                                alpha_sq=args.alpha2, snr_db=args.snr_db,
                                scheme=scheme, em=em, slots=args.slots,
                                seed=args.seed)
-        except ValueError as exc:
-            parser.error(f"--L/--P/--M/--alpha2: {exc}")
-        sweeps.append(SweepSpec(scheme.value, args.axis, values, params))
+            for value in values:
+                params.at(args.axis, value)
+            sweeps.append(SweepSpec(scheme.value, args.axis, values, params))
+    except ValueError as exc:
+        parser.error(f"invalid run parameters: {exc}")
     if args.analytic:
         base = sweeps[0].params
         sweeps.append(SweepSpec(ANALYTIC_CUIF, args.axis, values, base))
@@ -116,10 +119,15 @@ def parse_args(argv) -> RunSpec:
                    workers=args.workers, include_timing=args.timing)
 
 
+def _check_workers(parser: argparse.ArgumentParser, workers: int) -> None:
+    if workers < 1:
+        parser.error(f"--workers must be >= 1, got {workers}")
+
+
 def _analytic_points(spec: SweepSpec):
     points = []
     for value in sorted(spec.values):
-        params = montecarlo._point_params(spec.params, spec.axis, value)
+        params = spec.params.at(spec.axis, value)
         budget = analysis.LinkBudget.from_sim(params)
         if spec.scheme == ANALYTIC_CUIF:
             ber = analysis.ber_cuif_closed(budget)
@@ -148,8 +156,7 @@ def execute(spec: RunSpec):
 def _rows(results, spec: RunSpec):
     for sw, curve in results:
         for point in curve.points:
-            params = montecarlo._point_params(sw.params, sw.axis,
-                                              point.swept_value)
+            params = sw.params.at(sw.axis, point.swept_value)
             yield {
                 "scheme": sw.scheme,
                 "axis": sw.axis,
@@ -256,14 +263,18 @@ def parse_reproduce_args(argv) -> list[RunSpec]:
                         choices=sorted(REPRODUCE_EXPERIMENTS),
                         help="run a subset of the experiments (repeatable)")
     args = parser.parse_args(argv)
+    _check_workers(parser, args.workers)
 
     names = args.only or list(REPRODUCE_EXPERIMENTS)
     out_dir = Path(args.out)
     specs = []
     for name in names:
         axis, values, snr_db, overlays = REPRODUCE_EXPERIMENTS[name]
-        base = SimParams(slots=args.slots, seed=args.seed,
-                         snr_db=6.0 if snr_db is None else snr_db)
+        try:
+            base = SimParams(slots=args.slots, seed=args.seed,
+                             snr_db=6.0 if snr_db is None else snr_db)
+        except ValueError as exc:
+            parser.error(f"invalid run parameters: {exc}")
         sweeps = [
             SweepSpec("CAMF", axis, values, base.with_(scheme=Scheme.CAMF)),
             SweepSpec("CUIF", axis, values, base.with_(scheme=Scheme.CUIF)),

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import numpy as np
-
 E_X = 2.0  # 4-QAM symbol energy, |x|^2 for x in {+-1 +-j}
 
 
@@ -18,23 +16,19 @@ class Scheme(Enum):
     GENIE_CUIF = "GENIE_CUIF"
 
 
+# Schemes decided by the EM receiver; they spend bit 0 as a known pilot.
 EM_SCHEMES = (Scheme.CAMF, Scheme.CUIF)
-GENIE_SCHEMES = (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF)
+
+SWEEP_AXES = ("snr_db", "L", "P", "alpha_sq", "n_iter")
+_INTEGER_AXES = ("L", "P", "n_iter")
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Stopping rule and initialization knobs for the EM receiver."""
+    """Stopping rule of the EM receiver."""
 
     n_iter_max: int = 5
     epsilon: float = 1e-12
-    initial_phase_error_bound: float = np.pi / 4
-    pilot_first: bool = True
-    # Restart offsets (radians) around the rough phase estimate for the
-    # common-phase constrained mode; the run with the highest final
-    # log-likelihood wins. The unconstrained mode always runs one descent.
-    # A single 0.0 entry reproduces plain one-shot EM everywhere.
-    start_offsets: tuple = (0.0, -0.5, 0.5)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -62,6 +56,9 @@ class SimParams:
             raise ValueError(f"need L >= P >= 1, got L={self.L}, P={self.P}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
+        if self.scheme in EM_SCHEMES and self.M < 2:
+            raise ValueError(f"{self.scheme.value} spends bit 0 as a pilot "
+                             "and needs M >= 2")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
         if not (0.0 < self.alpha_sq <= 1.0):
@@ -74,3 +71,18 @@ class SimParams:
 
     def with_(self, **kwargs) -> "SimParams":
         return replace(self, **kwargs)
+
+    def at(self, axis: str, value) -> "SimParams":
+        """The operating point a sweep selects by setting ``axis`` to
+        ``value``; ``n_iter`` sets the EM iteration cap."""
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}")
+        if axis in _INTEGER_AXES:
+            if not float(value).is_integer():
+                raise ValueError(f"{axis} must be an integer, got {value!r}")
+            value = int(value)
+        else:
+            value = float(value)
+        if axis == "n_iter":
+            return replace(self, em=replace(self.em, n_iter_max=value))
+        return replace(self, **{axis: value})

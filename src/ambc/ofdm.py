@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import E_X
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -13,13 +15,15 @@ class Constellation:
 
     The ordering doubles as the bit mapping: point index i carries the Gray
     bit pair (b_I, b_Q) = (i >> 1, i & 1) with I = 1 - 2 b_I, Q = 1 - 2 b_Q.
+    The points are read-only, so one instance can be shared.
     """
 
     points: np.ndarray
     symbol_energy: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
+        pts = np.array(self.points, dtype=complex)
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if not np.allclose(np.abs(pts) ** 2, self.symbol_energy):
             raise ValueError("constellation is not constant-modulus")
@@ -28,50 +32,32 @@ class Constellation:
 
 
 def qam4() -> Constellation:
-    """4-QAM {+-1 +-j}, E_x = 2, Gray-ordered."""
+    """4-QAM {+-1 +-j}, E_x = E_X, Gray-ordered."""
     return Constellation(
         points=np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]),
-        symbol_energy=2.0,
+        symbol_energy=E_X,
     )
 
 
-def gen_frame(L: int, M: int, constellation: Constellation,
-              rng: np.random.Generator) -> np.ndarray:
-    """L x M grid of i.i.d. uniform constellation symbols."""
+# The legacy signal's constellation: built and validated once.
+_POINTS = qam4().points
+
+
+def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
+    """L x M grid of i.i.d. uniform 4-QAM symbols."""
     if L < 1 or M < 1:
         raise ValueError("L and M must be >= 1")
-    idx = rng.integers(0, constellation.points.size, size=(L, M))
-    return constellation.points[idx]
+    idx = rng.integers(0, _POINTS.size, size=(L, M))
+    return _POINTS[idx]
 
 
-def qam_detect(y: complex, effective_gain: complex,
-               constellation: Constellation) -> complex:
-    """Exhaustive ML decision: the point minimizing |y - gain*x|^2.
+def detect_grid(y: np.ndarray, effective_gain: np.ndarray) -> np.ndarray:
+    """Exhaustive 4-QAM ML decisions over an L x M grid: entry (l, m) is the
+    point x minimizing |y_lm - effective_gain_l x|^2.
 
-    Ties (including gain = 0) resolve to the first point in the fixed
+    Ties (including a zero gain) resolve to the first point in the fixed
     ordering via argmin.
     """
-    d = np.abs(y - effective_gain * constellation.points) ** 2
-    return constellation.points[int(np.argmin(d))]
-
-
-def detect_grid(y: np.ndarray, effective_gain: np.ndarray,
-                constellation: Constellation) -> np.ndarray:
-    """Vectorized qam_detect over an L x M grid with per-subcarrier gains."""
-    # broadcast to (L, M, |X|)
-    d = np.abs(y[..., None]
-               - effective_gain[:, None, None] * constellation.points) ** 2
-    return constellation.points[np.argmin(d, axis=-1)]
-
-
-def bits_to_symbols(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map bit pairs (..., 2) to points using the documented Gray order."""
-    idx = (bits[..., 0] << 1) | bits[..., 1]
-    return constellation.points[idx]
-
-
-def symbols_to_bits(symbols: np.ndarray,
-                    constellation: Constellation) -> np.ndarray:
-    """Inverse of bits_to_symbols for exact constellation points."""
-    idx = np.argmin(np.abs(symbols[..., None] - constellation.points), axis=-1)
-    return np.stack([(idx >> 1) & 1, idx & 1], axis=-1)
+    # broadcast to (L, M, 4)
+    d = np.abs(y[..., None] - effective_gain[:, None, None] * _POINTS) ** 2
+    return _POINTS[np.argmin(d, axis=-1)]

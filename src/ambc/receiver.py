@@ -1,5 +1,6 @@
 """Reader-side processing: slot formation, EM joint estimation and
-detection, genie-aided coherent detection, and the energy-detector baseline.
+detection, genie-aided coherent detection, and the energy-detector
+threshold calibration.
 """
 
 from __future__ import annotations
@@ -10,9 +11,15 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import EmConfig, Scheme
-from .ofdm import Constellation, detect_grid
+from .ofdm import detect_grid
 
 _HYPOTHESES = np.array([-1.0, 1.0])
+# Half-width of the uniform error on the rough phase estimate that seeds EM.
+_INITIAL_PHASE_ERROR_BOUND = np.pi / 4
+# Restart offsets (radians) around the rough phase estimate for the
+# common-phase constrained mode; the run with the highest final
+# log-likelihood wins. The unconstrained mode always runs one descent.
+_START_OFFSETS = (0.0, -0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -21,16 +28,6 @@ class ReceivedSlot:
 
     y: np.ndarray
     N0: float
-
-
-@dataclass
-class EmState:
-    """One EM iterate: channel estimate and bit posteriors."""
-
-    v_tilde: np.ndarray        # length-L complex estimate of the BD channel
-    posteriors: np.ndarray     # (M, 2) for s in (-1, +1)
-    iteration: int
-    mode: Scheme               # CAMF (constrained) or CUIF (unconstrained)
 
 
 @dataclass(frozen=True)
@@ -50,10 +47,10 @@ def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
     return ReceivedSlot(y=H[:, None] * frame + backscatter + n, N0=N0)
 
 
-def em_e_step(slot: ReceivedSlot, H: np.ndarray, state: EmState,
-              constellation: Constellation):
-    """Bit posteriors, per-hypothesis hard symbol decisions, and the slot
-    log-likelihood under the current channel estimate.
+def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray):
+    """Bit posteriors (M, 2) for s in (-1, +1), per-hypothesis hard symbol
+    decisions, and the slot log-likelihood under the channel estimate
+    v_tilde.
 
     For each hypothesis s the OFDM symbols are re-detected under the
     effective gain H_l + v_l s, and the log metric is the residual energy
@@ -64,8 +61,8 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, state: EmState,
     xhat = np.empty(y.shape + (2,), dtype=complex)
     ell = np.empty((M, 2))
     for k, s in enumerate(_HYPOTHESES):
-        gain = H + state.v_tilde * s
-        xh = detect_grid(y, gain, constellation)
+        gain = H + v_tilde * s
+        xh = detect_grid(y, gain)
         xhat[..., k] = xh
         resid = np.abs(y - gain[:, None] * xh) ** 2
         ell[:, k] = -resid.sum(axis=0) / slot.N0
@@ -110,92 +107,74 @@ def project_common_phase(nu: np.ndarray) -> np.ndarray:
 
 
 def _em_descent(slot: ReceivedSlot, H: np.ndarray, config: EmConfig,
-                mode: Scheme, v0: np.ndarray, constellation: Constellation):
-    """One EM run from a fixed initial estimate; returns state + score."""
-    state = EmState(v_tilde=v0, posteriors=np.full((slot.y.shape[1], 2), 0.5),
-                    iteration=0, mode=mode)
-    converged = False
-    loglik = -np.inf
+                mode: Scheme, v_tilde: np.ndarray):
+    """One EM run from a fixed initial estimate; returns the final estimate,
+    the last posteriors, the iteration count, the convergence flag and the
+    last log-likelihood."""
+    iteration = 0
     while True:
-        posteriors, xhat, loglik = em_e_step(slot, H, state, constellation)
-        state.posteriors = posteriors
+        posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
         nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
         if mode is Scheme.CAMF:
             nu = project_common_phase(nu)
-        delta = np.sum(np.abs(nu - state.v_tilde) ** 2)
-        state.v_tilde = nu
-        state.iteration += 1
-        if delta < config.epsilon:
-            converged = True
-            break
-        if state.iteration >= config.n_iter_max:
-            break
-    return state, converged, loglik
+        delta = np.sum(np.abs(nu - v_tilde) ** 2)
+        v_tilde = nu
+        iteration += 1
+        converged = bool(delta < config.epsilon)
+        if converged or iteration >= config.n_iter_max:
+            return v_tilde, posteriors, iteration, converged, loglik
 
 
 def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
            realization: ChannelRealization,
-           rng: np.random.Generator,
-           constellation: Constellation) -> DetectionResult:
+           rng: np.random.Generator) -> DetectionResult:
     """EM joint estimation and detection with likelihood-ranked restarts.
 
     The rough phase estimate theta_hat is the true flat-link phase plus a
-    uniform draw within the configured bound (a stand-in for a pilot-based
-    estimator; the realization is used only here). In the common-phase
-    constrained mode each configured start offset seeds one EM descent from
-    alpha * e^{j(theta_hat + offset)} and the descent with the highest final
-    log-likelihood wins; the projection ties every subcarrier to one scalar
-    phase, so a rough estimate near the edge of its error bound can lock the
-    whole estimate onto a rotated local optimum, and the restarts sweep that
-    scalar ambiguity. The unconstrained mode has no shared phase to get
-    stuck on and runs a single descent.
+    uniform draw within _INITIAL_PHASE_ERROR_BOUND (a stand-in for a
+    pilot-based estimator; the realization is used only here). In the
+    common-phase constrained mode each start offset seeds one EM descent
+    from alpha * e^{j(theta_hat + offset)} and the descent with the highest
+    final log-likelihood wins; the projection ties every subcarrier to one
+    scalar phase, so a rough estimate near the edge of its error bound can
+    lock the whole estimate onto a rotated local optimum, and the restarts
+    sweep that scalar ambiguity. The unconstrained mode has no shared phase
+    to get stuck on and runs a single descent. Bit 0 is a known +1 pilot
+    that fixes the global sign.
     """
     L = H.shape[0]
-    bound = config.initial_phase_error_bound
+    bound = _INITIAL_PHASE_ERROR_BOUND
     theta0 = realization.theta + rng.uniform(-bound, bound)
 
-    offsets = config.start_offsets if mode is Scheme.CAMF else (0.0,)
+    offsets = _START_OFFSETS if mode is Scheme.CAMF else (0.0,)
     best = None
     for offset in offsets:
         v0 = np.full(L, realization.alpha * np.exp(1j * (theta0 + offset)),
                      dtype=complex)
-        state, converged, loglik = _em_descent(slot, H, config, mode, v0,
-                                               constellation)
-        if best is None or loglik > best[2]:
-            best = (state, converged, loglik)
-    state, converged, _ = best
+        run = _em_descent(slot, H, config, mode, v0)
+        if best is None or run[-1] > best[-1]:
+            best = run
+    v_hat, posteriors, iterations, converged, _ = best
 
-    s_hat = np.where(state.posteriors[:, 1] >= state.posteriors[:, 0], 1, -1)
-    v_hat = state.v_tilde
-    if config.pilot_first and state.posteriors[0, 1] < 0.5:
+    s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
+    if posteriors[0, 1] < 0.5:
         # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
         s_hat = -s_hat
         v_hat = -v_hat
     return DetectionResult(s_hat=s_hat, v_tilde_hat=v_hat,
-                           iterations_used=state.iteration,
-                           converged=converged)
+                           iterations_used=iterations, converged=converged)
 
 
 def genie_detect(slot: ReceivedSlot, H: np.ndarray, frame: np.ndarray,
                  realization: ChannelRealization,
                  scheme: Scheme) -> np.ndarray:
     """Coherent per-symbol decisions with known channels and OFDM symbols."""
-    if scheme in (Scheme.CAMF, Scheme.GENIE_CAMF):
-        C = realization.beta_tilde * realization.V
-    else:
-        C = realization.beta * realization.G
+    C = realization.effective_gain(scheme)
     d = np.empty((slot.y.shape[1], 2))
     for k, s in enumerate(_HYPOTHESES):
         resid = slot.y - (H + C * s)[:, None] * frame
         d[:, k] = np.sum(np.abs(resid) ** 2, axis=0)
     return np.where(d[:, 1] <= d[:, 0], 1, -1)
-
-
-def energy_detect(y_m: np.ndarray, threshold: float) -> int:
-    """On-off decision on the symbol energy ||y_m||^2."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return int(np.sum(np.abs(y_m) ** 2) >= threshold)
 
 
 def threshold_sweep(energies: np.ndarray, labels: np.ndarray,

@@ -4,7 +4,7 @@ import pytest
 from ambc.channel import (ChannelRealization, CirProfile, cir_to_freq,
                           realization_from_parts, sample_cir,
                           sample_realization)
-from ambc.config import SimParams
+from ambc.config import Scheme, SimParams
 
 
 def test_profile_validation():
@@ -97,3 +97,7 @@ def test_derived_fields_consistent():
     assert np.isclose(real.beta, real.alpha * real.f)
     assert np.isclose(real.beta_tilde, real.beta * real.kappa)
     assert np.allclose(real.V, np.abs(real.G) ** 2)
+    for scheme in Scheme:
+        camf = scheme in (Scheme.CAMF, Scheme.GENIE_CAMF)
+        expected = real.beta_tilde * real.V if camf else real.beta * real.G
+        assert np.array_equal(real.effective_gain(scheme), expected)

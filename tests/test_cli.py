@@ -36,6 +36,9 @@ def test_parse_analytic_overlays():
 def test_parse_rejects_incompatible_geometry():
     with pytest.raises(SystemExit):
         cli.parse_args(["--L", "4", "--P", "8"])
+    with pytest.raises(SystemExit):
+        # an EM scheme spends its only bit on the pilot
+        cli.parse_args(["--scheme", "CAMF", "--M", "1", "--values", "6"])
 
 
 def test_parse_rejects_unknown_scheme_and_bad_values():
@@ -45,6 +48,11 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
         cli.parse_args(["--values", "1,two"])
     with pytest.raises(SystemExit):
         cli.parse_args(["--axis", "L"])  # non-SNR axis needs --values
+    for argv in (["--niter", "0"], ["--epsilon", "0"], ["--workers", "0"],
+                 ["--axis", "L", "--values", "16.5"],
+                 ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"]):
+        # usage errors: exit status 2 through argparse, no traceback
+        assert cli.main(argv) == 2
 
 
 def run_main(tmp_path, extra, name="out.csv"):

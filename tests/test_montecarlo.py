@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambc.analysis import LinkBudget, ber_cuif_closed
-from ambc.config import Scheme, SimParams
+from ambc.config import EmConfig, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, compare_curves, run_slot,
                              slot_rng, sweep, trend_verdict)
 
@@ -26,6 +27,29 @@ def test_run_slot_em_scores_data_bits_only():
     params = SimParams(M=40, scheme=Scheme.CAMF, seed=1)
     _, total = run_slot(params, 0)
     assert total == 39
+
+
+def test_em_scheme_needs_a_data_bit_after_the_pilot():
+    for scheme in (Scheme.CAMF, Scheme.CUIF):
+        with pytest.raises(ValueError):
+            SimParams(M=1, scheme=scheme)
+    assert run_slot(SimParams(M=1, scheme=Scheme.GENIE_CAMF), 0)[1] == 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(L=st.integers(1, 12), P=st.integers(1, 6), M=st.integers(1, 6),
+       alpha_sq=st.floats(0.0, 1.0), snr_db=st.floats(-20.0, 40.0),
+       scheme=st.sampled_from(Scheme), n_iter=st.integers(1, 3))
+def test_every_accepted_point_runs(L, P, M, alpha_sq, snr_db, scheme, n_iter):
+    try:
+        params = SimParams(L=L, M=M, P=P, alpha_sq=alpha_sq, snr_db=snr_db,
+                           scheme=scheme, em=EmConfig(n_iter_max=n_iter),
+                           slots=1)
+    except ValueError:
+        return
+    errors, bits = run_slot(params, 0)
+    assert bits > 0
+    assert 0 <= errors <= bits
 
 
 def test_run_slot_genie_scores_all_bits():
@@ -90,6 +114,20 @@ def test_sweep_applies_axis_value():
     assert (a.bit_errors, a.total_bits) == (curve.points[0].bit_errors,
                                             curve.points[0].total_bits)
     assert b.total_bits == a.total_bits
+
+
+def test_at_maps_axes_and_rejects_non_integral_values():
+    params = SimParams()
+    assert params.at("L", 16.0).L == 16
+    assert params.at("n_iter", 3.0).em.n_iter_max == 3
+    assert params.at("snr_db", 2).snr_db == 2.0
+    for axis in ("L", "P", "n_iter"):
+        with pytest.raises(ValueError):
+            params.at(axis, 2.5)
+    with pytest.raises(ValueError):
+        params.at("bogus", 1.0)
+    with pytest.raises(ValueError):
+        sweep(params.with_(scheme=Scheme.GENIE_CUIF, slots=1), "L", [16.5])
 
 
 def test_sweep_n_iter_axis():

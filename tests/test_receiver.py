@@ -7,9 +7,9 @@ from scipy import optimize
 from ambc import bd, channel, receiver
 from ambc.config import EmConfig, Scheme, SimParams
 from ambc.ofdm import gen_frame, qam4
-from ambc.receiver import (EmState, em_e_step, em_m_step_unconstrained,
-                           em_run, energy_detect, genie_detect,
-                           project_common_phase, receive, threshold_sweep)
+from ambc.receiver import (em_e_step, em_m_step_unconstrained, em_run,
+                           genie_detect, project_common_phase, receive,
+                           threshold_sweep)
 
 CONST = qam4()
 
@@ -20,7 +20,7 @@ def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
                        scheme=scheme)
     rng = np.random.default_rng(seed)
     real = channel.sample_realization(params, rng)
-    frame = gen_frame(L, M, CONST, rng)
+    frame = gen_frame(L, M, rng)
     bits = bd.sample_bits(M, rng, pilot_first=True)
     a = bd.backscatter_frame(scheme, real, frame, bits.s)
     slot = receive(real.H, frame, a, params.n0 if n0 is None else n0, rng)
@@ -64,9 +64,7 @@ class TestReceive:
 class TestEStep:
     def test_zero_estimate_gives_uniform_posteriors(self):
         _, real, _, _, slot, _ = make_slot(3)
-        state = EmState(v_tilde=np.zeros(32, dtype=complex), posteriors=None,
-                        iteration=0, mode=Scheme.CAMF)
-        posteriors, _, _ = em_e_step(slot, real.H, state, CONST)
+        posteriors, _, _ = em_e_step(slot, real.H, np.zeros(32, dtype=complex))
         assert np.allclose(posteriors, 0.5)
 
     def test_true_estimate_recovers_bits_noiselessly(self):
@@ -74,25 +72,19 @@ class TestEStep:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)  # finite metric
-        state = EmState(v_tilde=real.beta_tilde * real.V, posteriors=None,
-                        iteration=0, mode=Scheme.CAMF)
-        posteriors, _, _ = em_e_step(slot, real.H, state, CONST)
+        posteriors, _, _ = em_e_step(slot, real.H, real.beta_tilde * real.V)
         idx = ((bits.s + 1) // 2).astype(int)
         assert np.all(posteriors[np.arange(params.M), idx] >=
                       posteriors[np.arange(params.M), 1 - idx])
 
     def test_posteriors_normalized(self):
         _, real, _, _, slot, _ = make_slot(5)
-        state = EmState(v_tilde=np.full(32, 0.3 + 0.1j), posteriors=None,
-                        iteration=0, mode=Scheme.CAMF)
-        posteriors, _, _ = em_e_step(slot, real.H, state, CONST)
+        posteriors, _, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
         assert np.allclose(posteriors.sum(axis=1), 1.0, atol=1e-12)
 
     def test_high_snr_no_overflow(self):
         _, real, _, _, slot, _ = make_slot(6, n0=1e-9)
-        state = EmState(v_tilde=np.full(32, 0.3 + 0.1j), posteriors=None,
-                        iteration=0, mode=Scheme.CAMF)
-        posteriors, _, _ = em_e_step(slot, real.H, state, CONST)
+        posteriors, _, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
         assert np.all(np.isfinite(posteriors))
 
 
@@ -185,27 +177,23 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        state, converged, _ = receiver._em_descent(
-            slot, real.H, EmConfig(), Scheme.CAMF,
-            real.beta_tilde * real.V, CONST)
-        s_hat = np.where(state.posteriors[:, 1] >= state.posteriors[:, 0],
-                         1, -1)
+        _, posteriors, iterations, converged, _ = receiver._em_descent(
+            slot, real.H, EmConfig(), Scheme.CAMF, real.beta_tilde * real.V)
+        s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
         assert np.array_equal(s_hat, bits.s)
-        assert converged and state.iteration <= 2
+        assert converged and iterations <= 2
 
     def test_decodes_noiseless_slot(self):
         params, real, frame, bits, _, rng = make_slot(12)
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng,
-                        CONST)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
         assert np.array_equal(result.s_hat, bits.s)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng,
-                        CONST)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
         v = result.v_tilde_hat
         nonzero = v[np.abs(v) > 0]
         spread = np.angle(nonzero * np.exp(-1j * np.angle(nonzero.mean())))
@@ -214,8 +202,7 @@ class TestEmRun:
 
     def test_pilot_pins_result(self):
         params, real, _, bits, slot, rng = make_slot(14)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng,
-                        CONST)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
         assert result.s_hat[0] == 1
 
     def test_sign_symmetry_same_slot(self):
@@ -229,8 +216,7 @@ class TestEmRun:
 
     def test_cuif_mode_runs_unconstrained(self):
         params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CUIF, real, rng,
-                        CONST)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CUIF, real, rng)
         # unconstrained estimates generally have distinct phases
         phases = np.angle(result.v_tilde_hat)
         assert np.ptp(phases) > 1e-6
@@ -238,11 +224,10 @@ class TestEmRun:
     def test_iteration_cost_scales_linearly(self):
         def iter_time(L, M, reps=20):
             params, real, _, _, slot, _ = make_slot(17, L=L, M=M)
-            state = EmState(v_tilde=np.full(L, 0.3 + 0.1j), posteriors=None,
-                            iteration=0, mode=Scheme.CAMF)
+            v_tilde = np.full(L, 0.3 + 0.1j)
             start = time.perf_counter()
             for _ in range(reps):
-                posteriors, xhat, _ = em_e_step(slot, real.H, state, CONST)
+                posteriors, xhat, _ = em_e_step(slot, real.H, v_tilde)
                 em_m_step_unconstrained(slot, real.H, posteriors, xhat)
             return (time.perf_counter() - start) / reps
 
@@ -265,7 +250,7 @@ class TestGenie:
         # fixed channel, many independent symbols
         params, real, _, _, _, rng = make_slot(19)
         n = 10 ** 5
-        frame = gen_frame(params.L, n, CONST, rng)
+        frame = gen_frame(params.L, n, rng)
         s = bd.sample_bits(n, rng).s
         a = bd.backscatter_frame(Scheme.GENIE_CUIF, real, frame, s)
         slot = receive(real.H, frame, a, params.n0, rng)
@@ -283,7 +268,7 @@ class TestGenie:
             np.array([0.6 + 0.2j]), np.array([0.8 - 0.1j]), L,
             alpha=np.sqrt(0.2), theta=0.9)
         rng = np.random.default_rng(20)
-        frame = gen_frame(L, M, CONST, rng)
+        frame = gen_frame(L, M, rng)
         s = bd.sample_bits(M, rng).s
         noise = 0.5 * (rng.standard_normal((L, M))
                        + 1j * rng.standard_normal((L, M)))
@@ -298,20 +283,6 @@ class TestGenie:
 
 
 class TestEnergyDetector:
-    def test_zero_signal_gives_zero(self):
-        assert energy_detect(np.zeros(8), 1e-9) == 0
-
-    def test_energy_matches_direct_sum(self):
-        rng = np.random.default_rng(21)
-        y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        tau = float(np.sum(np.abs(y) ** 2))
-        assert energy_detect(y, tau) == 1
-        assert energy_detect(y, tau + 1e-9) == 0
-
-    def test_threshold_required_positive(self):
-        with pytest.raises(ValueError):
-            energy_detect(np.ones(4), 0.0)
-
     def test_sweep_separated_classes(self):
         energies = np.array([1.0, 1.1, 5.0, 5.2])
         labels = np.array([0, 0, 1, 1])
