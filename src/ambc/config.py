@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -63,6 +64,10 @@ class SimParams:
             raise ValueError("slots must be >= 1")
         if not (0.0 < self.alpha_sq <= 1.0):
             raise ValueError("alpha_sq must be in (0, 1]")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     @property
     def n0(self) -> float:

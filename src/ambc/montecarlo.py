@@ -8,6 +8,7 @@ completion order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -131,29 +132,32 @@ def _point_counts(args) -> tuple[int, int]:
 
 def sweep(params: SimParams, axis: str, values,
           n_workers: int = 1) -> BerCurve:
-    """BER at each axis value; deterministic given params.seed."""
+    """BER at each axis value; deterministic given params.seed.
+
+    With n_workers > 1 one process pool serves every point, and each point's
+    slots are split into one contiguous chunk per worker.
+    """
     values = sorted(values)
     if not values:
         raise ValueError("empty sweep values")
+    point_params = [params.at(axis, value) for value in values]
     points = []
-    for axis_index, value in enumerate(values):
-        point_params = params.at(axis, value)
-        start = perf_counter()
-        if n_workers > 1:
-            chunks = np.linspace(0, point_params.slots,
-                                 n_workers + 1).astype(int)
-            jobs = [(point_params, axis_index, int(lo), int(hi))
-                    for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        for axis_index, (value, p) in enumerate(zip(values, point_params)):
+            start = perf_counter()
+            if pool is not None:
+                chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
+                jobs = [(p, axis_index, int(lo), int(hi))
+                        for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
                 results = list(pool.map(_point_counts, jobs))
-            errors = sum(r[0] for r in results)
-            total = sum(r[1] for r in results)
-        else:
-            errors, total = _point_counts(
-                (point_params, axis_index, 0, point_params.slots))
-        runtime_ms = (perf_counter() - start) * 1e3
-        points.append(BerPoint.from_counts(float(value), errors, total,
-                                           runtime_ms))
+                errors = sum(r[0] for r in results)
+                total = sum(r[1] for r in results)
+            else:
+                errors, total = _point_counts((p, axis_index, 0, p.slots))
+            runtime_ms = (perf_counter() - start) * 1e3
+            points.append(BerPoint.from_counts(float(value), errors, total,
+                                               runtime_ms))
     return BerCurve(axis_name=axis, points=tuple(points),
                     params_snapshot=params)
 

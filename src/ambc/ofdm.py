@@ -52,12 +52,15 @@ def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def detect_grid(y: np.ndarray, effective_gain: np.ndarray) -> np.ndarray:
-    """Exhaustive 4-QAM ML decisions over an L x M grid: entry (l, m) is the
-    point x minimizing |y_lm - effective_gain_l x|^2.
+    """4-QAM ML decisions over an L x M grid: entry (l, m) is the point x
+    minimizing |y_lm - effective_gain_l x|^2.
 
-    Ties (including a zero gain) resolve to the first point in the fixed
-    ordering via argmin.
+    For 4-QAM that point is sgn Re(z) + j sgn Im(z) with
+    z = conj(effective_gain_l) y_lm, ties (z on an axis, or a zero gain)
+    going to +1 like argmin's first point. A (..., L) gain gives
+    (..., L, M) decisions.
     """
-    # broadcast to (L, M, 4)
-    d = np.abs(y[..., None] - effective_gain[:, None, None] * _POINTS) ** 2
-    return _POINTS[np.argmin(d, axis=-1)]
+    z = np.conj(effective_gain)[..., None] * y
+    # point index 2 b_I + b_Q, with b = 1 on a negative component
+    idx = (z.real < 0).view(np.int8) * 2 + (z.imag < 0).view(np.int8)
+    return _POINTS.take(idx)

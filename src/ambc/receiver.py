@@ -48,30 +48,26 @@ def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
 
 
 def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray):
-    """Bit posteriors (M, 2) for s in (-1, +1), per-hypothesis hard symbol
-    decisions, and the slot log-likelihood under the channel estimate
-    v_tilde.
+    """Bit posteriors (..., M, 2) for s in (-1, +1), per-hypothesis hard
+    symbol decisions (..., L, M, 2), and the slot log-likelihood (...)
+    under the channel estimate v_tilde (..., L).
 
-    For each hypothesis s the OFDM symbols are re-detected under the
-    effective gain H_l + v_l s, and the log metric is the residual energy
-    scaled by -1/N0. Posteriors use a max-subtracted softmax.
+    Both hypotheses s are evaluated in one (..., 2, L, M) pass: the OFDM
+    symbols are re-detected under the effective gain H_l + v_l s, and the
+    log metric is the residual energy scaled by -1/N0. Posteriors use a
+    max-subtracted softmax.
     """
     y = slot.y
-    M = y.shape[1]
-    xhat = np.empty(y.shape + (2,), dtype=complex)
-    ell = np.empty((M, 2))
-    for k, s in enumerate(_HYPOTHESES):
-        gain = H + v_tilde * s
-        xh = detect_grid(y, gain)
-        xhat[..., k] = xh
-        resid = np.abs(y - gain[:, None] * xh) ** 2
-        ell[:, k] = -resid.sum(axis=0) / slot.N0
-    peak = ell.max(axis=1, keepdims=True)
-    w = np.exp(ell - peak)
-    total = w.sum(axis=1, keepdims=True)
-    posteriors = w / total
-    loglik = float(np.sum(peak[:, 0] + np.log(total[:, 0])))
-    return posteriors, xhat, loglik
+    gain = H + v_tilde[..., None, :] * _HYPOTHESES[:, None]
+    xhat = detect_grid(y, gain)
+    resid = np.abs(y - gain[..., None] * xhat) ** 2
+    ell = -resid.sum(axis=-2) / slot.N0
+    peak = ell.max(axis=-2)
+    w = np.exp(ell - peak[..., None, :])
+    total = w.sum(axis=-2)
+    posteriors = np.swapaxes(w / total[..., None, :], -1, -2)
+    loglik = np.sum(peak + np.log(total), axis=-1)
+    return posteriors, np.moveaxis(xhat, -3, -1), loglik
 
 
 def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
@@ -80,13 +76,14 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     """Per-subcarrier weighted least-squares update of the channel estimate.
 
     Minimizes sum_{m,s} p(s) |y_lm - (H_l + v_l s) xhat_lm(s)|^2 over
-    complex v_l independently for each l.
+    complex v_l independently for each l. Posteriors (..., M, 2) and
+    decisions (..., L, M, 2) give an estimate (..., L).
     """
-    # weights broadcast to (L, M, 2)
-    p = posteriors[None, :, :]
+    # weights broadcast to (..., L, M, 2)
+    p = posteriors[..., None, :, :]
     resid = slot.y[..., None] - H[:, None, None] * xhat
-    num = (p * _HYPOTHESES * np.conj(xhat) * resid).sum(axis=(1, 2))
-    den = (p * np.abs(xhat) ** 2).sum(axis=(1, 2))
+    num = (p * _HYPOTHESES * np.conj(xhat) * resid).sum(axis=(-2, -1))
+    den = (p * np.abs(xhat) ** 2).sum(axis=(-2, -1))
     if np.any(den == 0):
         raise ValueError("degenerate M-step: zero symbol energy")
     return num / den
@@ -95,34 +92,15 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
 def project_common_phase(nu: np.ndarray) -> np.ndarray:
     """Project onto common-phase, nonnegative-magnitude diagonals.
 
-    The common phase is the angle of the entry mean; magnitudes are kept.
-    A zero mean degenerates to phase 0.
+    The common phase of each (..., L) row is the angle of its entry mean;
+    magnitudes are kept. A zero mean degenerates to phase 0.
     """
     nu = np.asarray(nu)
     if nu.size == 0:
         raise ValueError("empty vector")
-    mean = nu.mean()
-    theta_hat = 0.0 if mean == 0 else np.angle(mean)
+    mean = nu.mean(axis=-1, keepdims=True)
+    theta_hat = np.where(mean == 0, 0.0, np.angle(mean))
     return np.exp(1j * theta_hat) * np.abs(nu)
-
-
-def _em_descent(slot: ReceivedSlot, H: np.ndarray, config: EmConfig,
-                mode: Scheme, v_tilde: np.ndarray):
-    """One EM run from a fixed initial estimate; returns the final estimate,
-    the last posteriors, the iteration count, the convergence flag and the
-    last log-likelihood."""
-    iteration = 0
-    while True:
-        posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
-        nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
-        if mode is Scheme.CAMF:
-            nu = project_common_phase(nu)
-        delta = np.sum(np.abs(nu - v_tilde) ** 2)
-        v_tilde = nu
-        iteration += 1
-        converged = bool(delta < config.epsilon)
-        if converged or iteration >= config.n_iter_max:
-            return v_tilde, posteriors, iteration, converged, loglik
 
 
 def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
@@ -135,25 +113,48 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
     pilot-based estimator; the realization is used only here). In the
     common-phase constrained mode each start offset seeds one EM descent
     from alpha * e^{j(theta_hat + offset)} and the descent with the highest
-    final log-likelihood wins; the projection ties every subcarrier to one
-    scalar phase, so a rough estimate near the edge of its error bound can
-    lock the whole estimate onto a rotated local optimum, and the restarts
-    sweep that scalar ambiguity. The unconstrained mode has no shared phase
-    to get stuck on and runs a single descent. Bit 0 is a known +1 pilot
-    that fixes the global sign.
+    final log-likelihood wins (the first on ties); the projection ties
+    every subcarrier to one scalar phase, so a rough estimate near the edge
+    of its error bound can lock the whole estimate onto a rotated local
+    optimum, and the restarts sweep that scalar ambiguity. The unconstrained
+    mode has no shared phase to get stuck on and runs a single descent.
+    Bit 0 is a known +1 pilot that fixes the global sign.
+
+    The descents run as one batch with estimates stacked (R, L). A descent
+    stops when its update moves less than epsilon or after n_iter_max
+    iterations; its estimate, posteriors, iteration count and
+    log-likelihood are then set aside and the rest continue without it.
     """
     L = H.shape[0]
     bound = _INITIAL_PHASE_ERROR_BOUND
     theta0 = realization.theta + rng.uniform(-bound, bound)
+    offsets = np.array(_START_OFFSETS if mode is Scheme.CAMF else (0.0,))
+    v_tilde = np.repeat(
+        realization.alpha * np.exp(1j * (theta0 + offsets))[:, None], L,
+        axis=1)
 
-    offsets = _START_OFFSETS if mode is Scheme.CAMF else (0.0,)
-    best = None
-    for offset in offsets:
-        v0 = np.full(L, realization.alpha * np.exp(1j * (theta0 + offset)),
-                     dtype=complex)
-        run = _em_descent(slot, H, config, mode, v0)
-        if best is None or run[-1] > best[-1]:
-            best = run
+    # per restart, set when it stops: (estimate, posteriors, iterations,
+    # converged, log-likelihood)
+    final = [None] * offsets.size
+    live = np.arange(offsets.size)
+    iteration = 0
+    while live.size:
+        posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
+        nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
+        if mode is Scheme.CAMF:
+            nu = project_common_phase(nu)
+        delta = np.sum(np.abs(nu - v_tilde) ** 2, axis=-1)
+        v_tilde = nu
+        iteration += 1
+        converged = delta < config.epsilon
+        done = converged | (iteration >= config.n_iter_max)
+        if done.any():
+            for k in np.flatnonzero(done):
+                final[live[k]] = (v_tilde[k], posteriors[k], iteration,
+                                  bool(converged[k]), loglik[k])
+            live, v_tilde = live[~done], v_tilde[~done]
+    # max keeps the first of equal log-likelihoods
+    best = max(final, key=lambda run: run[-1])
     v_hat, posteriors, iterations, converged, _ = best
 
     s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)

@@ -50,9 +50,12 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
         cli.parse_args(["--axis", "L"])  # non-SNR axis needs --values
     for argv in (["--niter", "0"], ["--epsilon", "0"], ["--workers", "0"],
                  ["--axis", "L", "--values", "16.5"],
-                 ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"]):
+                 ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"],
+                 ["--values", "nan"], ["--values", "0,inf"],
+                 ["--snr-db", "nan", "--axis", "L", "--values", "16"],
+                 ["--seed", "-1"], ["reproduce", "--seed", "-1"]):
         # usage errors: exit status 2 through argparse, no traceback
-        assert cli.main(argv) == 2
+        assert cli.main(argv) == 2, argv
 
 
 def run_main(tmp_path, extra, name="out.csv"):

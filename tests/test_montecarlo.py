@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambc import montecarlo
 from ambc.analysis import LinkBudget, ber_cuif_closed
 from ambc.config import EmConfig, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, compare_curves, run_slot,
@@ -50,6 +51,44 @@ def test_every_accepted_point_runs(L, P, M, alpha_sq, snr_db, scheme, n_iter):
     errors, bits = run_slot(params, 0)
     assert bits > 0
     assert 0 <= errors <= bits
+
+
+def test_simparams_rejects_non_finite_snr_and_negative_seed():
+    for snr_db in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            SimParams(snr_db=snr_db)
+        with pytest.raises(ValueError):
+            SimParams().at("snr_db", snr_db)
+    with pytest.raises(ValueError):
+        SimParams(seed=-1)
+    assert SimParams(seed=0, snr_db=-30.0).seed == 0
+
+
+# (bit_errors, total_bits) of the EM schemes at alpha^2 = 0.1, 6 slots,
+# seed 11, recorded before the EM receiver was vectorised. Seeded counts
+# are part of the output contract: a speed-up must leave them unchanged.
+PINNED_EM_COUNTS = {
+    ("CAMF", 32, -4.0): (175, 594),
+    ("CAMF", 32, 0.0): (14, 594),
+    ("CAMF", 128, -4.0): (195, 594),
+    ("CAMF", 128, 0.0): (1, 594),
+    ("CUIF", 32, -4.0): (272, 594),
+    ("CUIF", 32, 0.0): (189, 594),
+    ("CUIF", 128, -4.0): (294, 594),
+    ("CUIF", 128, 0.0): (111, 594),
+}
+
+
+def test_em_counts_pinned():
+    counts = {}
+    for scheme in (Scheme.CAMF, Scheme.CUIF):
+        for L in (32, 128):
+            params = SimParams(L=L, alpha_sq=0.1, scheme=scheme, slots=6,
+                               seed=11)
+            for pt in sweep(params, "snr_db", [-4.0, 0.0]).points:
+                counts[(scheme.value, L, pt.swept_value)] = (pt.bit_errors,
+                                                             pt.total_bits)
+    assert counts == PINNED_EM_COUNTS
 
 
 def test_run_slot_genie_scores_all_bits():
@@ -142,6 +181,25 @@ def test_sweep_worker_count_invariant():
     many = sweep(params, "snr_db", [0.0, 4.0], n_workers=3)
     for p1, p2 in zip(one.points, many.points):
         assert (p1.bit_errors, p1.total_bits) == (p2.bit_errors, p2.total_bits)
+
+
+def test_sweep_starts_one_pool_for_all_points(monkeypatch):
+    started = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=5, seed=9)
+    values = [0.0, 2.0, 4.0]
+    many = sweep(params, "snr_db", values, n_workers=2)
+    assert started == [{"max_workers": 2}]
+    one = sweep(params, "snr_db", values, n_workers=1)
+    assert len(started) == 1
+    assert [(p.bit_errors, p.total_bits) for p in one.points] == [
+        (p.bit_errors, p.total_bits) for p in many.points]
 
 
 def test_curve_requires_sorted_points():

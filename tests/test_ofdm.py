@@ -74,12 +74,50 @@ def test_qam_detect_matches_bruteforce():
 
 def test_detect_grid_matches_scalar():
     rng = np.random.default_rng(5)
-    y = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    gain = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    for _ in range(20):
+        L, M = rng.integers(1, 9, size=2)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        y = scale * (rng.standard_normal((L, M))
+                     + 1j * rng.standard_normal((L, M)))
+        gain = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        out = detect_grid(y, gain)
+        assert out.shape == (L, M)
+        for l in range(L):
+            for m in range(M):
+                assert out[l, m] == qam_detect(y[l, m], gain[l])
+
+
+def test_detect_grid_batched_gain():
+    rng = np.random.default_rng(7)
+    R, L, M = 3, 5, 7
+    y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
+    gain = (rng.standard_normal((R, 2, L))
+            + 1j * rng.standard_normal((R, 2, L)))
     out = detect_grid(y, gain)
-    for l in range(8):
-        for m in range(6):
-            assert out[l, m] == qam_detect(y[l, m], gain[l])
+    assert out.shape == (R, 2, L, M)
+    for r in range(R):
+        for k in range(2):
+            assert np.array_equal(out[r, k], detect_grid(y, gain[r, k]))
+            for l in range(L):
+                for m in range(M):
+                    assert out[r, k, l, m] == qam_detect(y[l, m],
+                                                         gain[r, k, l])
+
+
+def test_detect_grid_exact_ties_follow_first_point_rule():
+    # z = conj(gain) y on an axis (or zero) is an exact tie between points;
+    # the closed form must pick what argmin's first-point rule picks
+    y = np.array([[1.0, -1.0, 1j, -1j, 0.0, 2 - 2j, -3 + 1j]])
+    for gain in (np.array([1.0 + 0j]), np.array([1j]), np.array([-1.0 + 0j]),
+                 np.array([0j]), np.array([2.0 + 2.0j])):
+        out = detect_grid(y, gain)
+        for m in range(y.shape[1]):
+            assert out[0, m] == qam_detect(y[0, m], gain[0]), (gain, m)
+    # signed zeros are ties too
+    y = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0),
+                   complex(-0.0, -0.0)]])
+    out = detect_grid(y, np.array([1.0 + 0j]))
+    assert np.array_equal(out[0], [1 + 1j, 1 + 1j, 1 + 1j])
 
 
 def test_bit_mapping_round_trip():

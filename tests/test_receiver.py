@@ -27,6 +27,47 @@ def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
     return params, real, frame, bits, slot, rng
 
 
+def serial_descent(slot, H, config, mode, v_tilde):
+    """Reference for one EM descent from a fixed start, run alone: the final
+    estimate, the last posteriors, the iteration count, the convergence
+    flag and the last log-likelihood."""
+    iteration = 0
+    while True:
+        posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
+        nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
+        if mode is Scheme.CAMF:
+            nu = project_common_phase(nu)
+        delta = np.sum(np.abs(nu - v_tilde) ** 2)
+        v_tilde = nu
+        iteration += 1
+        converged = bool(delta < config.epsilon)
+        if converged or iteration >= config.n_iter_max:
+            return v_tilde, posteriors, iteration, converged, loglik
+
+
+def serial_em_run(slot, H, config, mode, real, rng):
+    """Reference for em_run: one serial descent per start offset, the first
+    highest final log-likelihood wins. Returns the per-restart runs, the
+    winner's index and the pilot-pinned bits and estimate."""
+    bound = receiver._INITIAL_PHASE_ERROR_BOUND
+    theta0 = real.theta + rng.uniform(-bound, bound)
+    offsets = receiver._START_OFFSETS if mode is Scheme.CAMF else (0.0,)
+    runs = [serial_descent(slot, H, config, mode,
+                           np.full(H.shape[0], real.alpha
+                                   * np.exp(1j * (theta0 + offset)),
+                                   dtype=complex))
+            for offset in offsets]
+    winner = 0
+    for k, run in enumerate(runs):
+        if run[-1] > runs[winner][-1]:
+            winner = k
+    v_hat, posteriors = runs[winner][:2]
+    s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
+    if posteriors[0, 1] < 0.5:
+        s_hat, v_hat = -s_hat, -v_hat
+    return runs, winner, s_hat, v_hat
+
+
 def q_objective(slot, H, posteriors, xhat, l):
     def f(v):
         vc = v[0] + 1j * v[1]
@@ -177,11 +218,40 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        _, posteriors, iterations, converged, _ = receiver._em_descent(
+        _, posteriors, iterations, converged, _ = serial_descent(
             slot, real.H, EmConfig(), Scheme.CAMF, real.beta_tilde * real.V)
         s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
         assert np.array_equal(s_hat, bits.s)
         assert converged and iterations <= 2
+
+    def test_batched_restarts_match_serial_descents(self):
+        # At 20 iterations and a loose epsilon the three restarts converge
+        # at different iterations, so the batch retires them one by one;
+        # seed 43 ends in an exact log-likelihood tie, which the first
+        # restart must win. The default stopping rule runs all restarts to
+        # the iteration cap.
+        loose = EmConfig(n_iter_max=20, epsilon=1e-6)
+        cases = [(30, Scheme.CAMF, 6.0, loose), (31, Scheme.CAMF, 0.0, loose),
+                 (43, Scheme.CAMF, 14.0, loose), (33, Scheme.CUIF, 6.0, loose)]
+        cases += [(seed, Scheme.CAMF, 6.0, EmConfig())
+                  for seed in range(34, 38)]
+        staggered = ties = 0
+        for seed, scheme, snr_db, config in cases:
+            params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
+                                                    scheme=scheme, L=16)
+            result = em_run(slot, real.H, config, scheme, real,
+                            np.random.default_rng(seed))
+            runs, winner, s_hat, v_hat = serial_em_run(
+                slot, real.H, config, scheme, real,
+                np.random.default_rng(seed))
+            staggered += len({run[2] for run in runs}) > 1
+            tied = {run[2] for run in runs if run[-1] == runs[winner][-1]}
+            ties += len(tied) > 1
+            assert np.array_equal(result.s_hat, s_hat)
+            assert np.array_equal(result.v_tilde_hat, v_hat)
+            assert result.iterations_used == runs[winner][2]
+            assert result.converged == runs[winner][3]
+        assert staggered >= 1 and ties == 1
 
     def test_decodes_noiseless_slot(self):
         params, real, frame, bits, _, rng = make_slot(12)
