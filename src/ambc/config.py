@@ -32,8 +32,9 @@ class EmConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, "
+                             f"got {self.epsilon!r}")
         if self.n_iter_max < 1:
             raise ValueError("n_iter_max must be >= 1")
 

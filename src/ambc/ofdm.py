@@ -41,6 +41,11 @@ def qam4() -> Constellation:
 
 # The legacy signal's constellation: built and validated once.
 _POINTS = qam4().points
+# The ML point by the signs of z: entry Re_neg + 256 Im_neg (each 0 or 1)
+# is the point in that quadrant, index 2 b_I + b_Q with b = 1 on a
+# negative component.
+_POINT_BY_SIGNS = np.zeros(258, dtype=complex)
+_POINT_BY_SIGNS[[0, 256, 1, 257]] = _POINTS
 
 
 def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,16 +56,14 @@ def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
     return _POINTS[idx]
 
 
-def detect_grid(y: np.ndarray, effective_gain: np.ndarray) -> np.ndarray:
-    """4-QAM ML decisions over an L x M grid: entry (l, m) is the point x
-    minimizing |y_lm - effective_gain_l x|^2.
-
-    For 4-QAM that point is sgn Re(z) + j sgn Im(z) with
-    z = conj(effective_gain_l) y_lm, ties (z on an axis, or a zero gain)
-    going to +1 like argmin's first point. A (..., L) gain gives
-    (..., L, M) decisions.
+def detect_grid(z: np.ndarray) -> np.ndarray:
+    """4-QAM ML decisions from matched-filter outputs z = conj(g) y of any
+    shape: the point x minimizing |y - g x|^2 is sgn Re(z) + j sgn Im(z),
+    ties (z on an axis, including a zero gain g) going to +1 like argmin's
+    first point.
     """
-    z = np.conj(effective_gain)[..., None] * y
-    # point index 2 b_I + b_Q, with b = 1 on a negative component
-    idx = (z.real < 0).view(np.int8) * 2 + (z.imag < 0).view(np.int8)
-    return _POINTS.take(idx)
+    z = np.asarray(z, dtype=complex, order="C")
+    negative = z[..., None].view(np.float64) < 0
+    # each (Re z < 0, Im z < 0) flag pair, read as one little-endian
+    # 16-bit integer, is Re_neg + 256 Im_neg
+    return _POINT_BY_SIGNS.take(negative.view("<u2")[..., 0])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import EmConfig, Scheme
+from .config import E_X, EmConfig, Scheme
 from .ofdm import detect_grid
 
 _HYPOTHESES = np.array([-1.0, 1.0])
@@ -52,16 +52,26 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray):
     symbol decisions (..., L, M, 2), and the slot log-likelihood (...)
     under the channel estimate v_tilde (..., L).
 
-    Both hypotheses s are evaluated in one (..., 2, L, M) pass: the OFDM
-    symbols are re-detected under the effective gain H_l + v_l s, and the
-    log metric is the residual energy scaled by -1/N0. Posteriors use a
-    max-subtracted softmax.
+    Both hypotheses s are evaluated in one (..., 2, L, M) pass from the
+    matched-filter output z = conj(g) y under the effective gain
+    g_l = H_l + v_l s: the symbols are re-detected from z, and since a
+    4-QAM decision has |x|^2 = E_X and Re(conj(x) z) = |Re z| + |Im z|,
+    the residual energy is |y - g x|^2 = |y|^2 - 2(|Re z| + |Im z|)
+    + E_X |g|^2, scaled by -1/N0, without forming the residual.
+    Posteriors use a max-subtracted softmax.
     """
     y = slot.y
     gain = H + v_tilde[..., None, :] * _HYPOTHESES[:, None]
-    xhat = detect_grid(y, gain)
-    resid = np.abs(y - gain[..., None] * xhat) ** 2
-    ell = -resid.sum(axis=-2) / slot.N0
+    # C order, so that each entry's (Re, Im) pair is adjacent in memory
+    z = np.multiply(np.conj(gain)[..., None], y, order="C")
+    xhat = detect_grid(z)
+    # sum_l |Re z| and sum_l |Im z| from one pass over the (Re, Im) pairs;
+    # z is not needed after this, so the absolute values overwrite it
+    parts = np.abs(z.view(np.float64), out=z.view(np.float64)).sum(axis=-2)
+    match = parts[..., 0::2] + parts[..., 1::2]
+    gain_energy = E_X * (gain.real ** 2 + gain.imag ** 2).sum(axis=-1)
+    y_energy = (y.real ** 2 + y.imag ** 2).sum(axis=-2)
+    ell = (2.0 * match - gain_energy[..., None] - y_energy) / slot.N0
     peak = ell.max(axis=-2)
     w = np.exp(ell - peak[..., None, :])
     total = w.sum(axis=-2)
@@ -78,15 +88,21 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     Minimizes sum_{m,s} p(s) |y_lm - (H_l + v_l s) xhat_lm(s)|^2 over
     complex v_l independently for each l. Posteriors (..., M, 2) and
     decisions (..., L, M, 2) give an estimate (..., L).
+
+    The decisions must be constant-modulus with |xhat|^2 = E_X (4-QAM
+    points, as em_e_step returns): the minimizer is then
+    (sum_{m,s} p s conj(xhat) y - E_X H_l sum_{m,s} p s) / (E_X sum_{m,s} p),
+    so no residual y - H xhat is formed.
     """
-    # weights broadcast to (..., L, M, 2)
-    p = posteriors[..., None, :, :]
-    resid = slot.y[..., None] - H[:, None, None] * xhat
-    num = (p * _HYPOTHESES * np.conj(xhat) * resid).sum(axis=(-2, -1))
-    den = (p * np.abs(xhat) ** 2).sum(axis=(-2, -1))
+    w = posteriors * _HYPOTHESES
+    # conj(sum p s xhat conj(y)) = sum p s conj(xhat) y, since p s is real
+    corr = np.conj(np.einsum("...lms,lm,...ms->...l", xhat, np.conj(slot.y),
+                             w))
+    num = corr - E_X * H * w.sum(axis=(-2, -1))[..., None]
+    den = E_X * posteriors.sum(axis=(-2, -1))
     if np.any(den == 0):
         raise ValueError("degenerate M-step: zero symbol energy")
-    return num / den
+    return num / den[..., None]
 
 
 def project_common_phase(nu: np.ndarray) -> np.ndarray:

@@ -53,7 +53,9 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
                  ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"],
                  ["--values", "nan"], ["--values", "0,inf"],
                  ["--snr-db", "nan", "--axis", "L", "--values", "16"],
-                 ["--seed", "-1"], ["reproduce", "--seed", "-1"]):
+                 ["--seed", "-1"], ["reproduce", "--seed", "-1"],
+                 ["--scheme", "CAMF", "--values", "6", "--slots", "2",
+                  "--epsilon", "nan"], ["--epsilon", "inf"]):
         # usage errors: exit status 2 through argparse, no traceback
         assert cli.main(argv) == 2, argv
 

@@ -64,6 +64,15 @@ def test_simparams_rejects_non_finite_snr_and_negative_seed():
     assert SimParams(seed=0, snr_db=-30.0).seed == 0
 
 
+def test_emconfig_rejects_non_finite_or_non_positive_epsilon():
+    # a nan epsilon would make every convergence test false and silently
+    # run each descent to n_iter_max
+    for epsilon in (float("nan"), float("inf"), float("-inf"), 0.0, -1e-6):
+        with pytest.raises(ValueError):
+            EmConfig(epsilon=epsilon)
+    assert EmConfig(n_iter_max=1, epsilon=1e300).epsilon == 1e300
+
+
 # (bit_errors, total_bits) of the EM schemes at alpha^2 = 0.1, 6 slots,
 # seed 11, recorded before the EM receiver was vectorised. Seeded counts
 # are part of the output contract: a speed-up must leave them unchanged.
@@ -76,6 +85,12 @@ PINNED_EM_COUNTS = {
     ("CUIF", 32, 0.0): (189, 594),
     ("CUIF", 128, -4.0): (294, 594),
     ("CUIF", 128, 0.0): (111, 594),
+    # CAMF at 14 dB, alpha^2 = 0.004, 40 slots, EmConfig(20, 1e-6): here
+    # restarts often end on the same estimate and exact log-likelihood ties
+    # pick the winner (recorded before the E-step and M-step were derived
+    # from the matched-filter output)
+    ("CAMF", 16, 14.0): (29, 3960),
+    ("CAMF", 32, 14.0): (9, 3960),
 }
 
 
@@ -88,6 +103,11 @@ def test_em_counts_pinned():
             for pt in sweep(params, "snr_db", [-4.0, 0.0]).points:
                 counts[(scheme.value, L, pt.swept_value)] = (pt.bit_errors,
                                                              pt.total_bits)
+    for L in (16, 32):
+        params = SimParams(L=L, alpha_sq=0.004, scheme=Scheme.CAMF, slots=40,
+                           seed=11, em=EmConfig(n_iter_max=20, epsilon=1e-6))
+        pt = sweep(params, "snr_db", [14.0]).points[0]
+        counts[("CAMF", L, 14.0)] = (pt.bit_errors, pt.total_bits)
     assert counts == PINNED_EM_COUNTS
 
 

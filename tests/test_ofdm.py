@@ -47,18 +47,21 @@ def test_gen_frame_zero_mean():
 
 
 def test_qam_detect_nearest_point():
-    assert detect_grid(np.array([[2 + 2j]]), np.array([1 + 0j]))[0, 0] == 1 + 1j
+    y, gain = np.array([[2 + 2j]]), np.array([1 + 0j])
+    assert detect_grid(np.conj(gain)[..., None] * y)[0, 0] == 1 + 1j
 
 
 def test_qam_detect_noise_free_round_trip():
     rng = np.random.default_rng(3)
     x = POINTS[rng.integers(0, 4, (200, 5))]
     gain = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    assert np.array_equal(detect_grid(gain[:, None] * x, gain), x)
+    y = gain[:, None] * x
+    assert np.array_equal(detect_grid(np.conj(gain)[..., None] * y), x)
 
 
 def test_qam_detect_zero_gain_returns_first_point():
-    out = detect_grid(np.array([[5 - 3j, -1 + 2j]]), np.zeros(1, complex))
+    y, gain = np.array([[5 - 3j, -1 + 2j]]), np.zeros(1, complex)
+    out = detect_grid(np.conj(gain)[..., None] * y)
     assert np.all(out == POINTS[0])
 
 
@@ -66,7 +69,7 @@ def test_qam_detect_matches_bruteforce():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((500, 1)) + 1j * rng.standard_normal((500, 1))
     gain = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    out = detect_grid(y, gain)
+    out = detect_grid(np.conj(gain)[..., None] * y)
     for l in range(500):
         best = min(POINTS, key=lambda x: abs(y[l, 0] - gain[l] * x) ** 2)
         assert out[l, 0] == best
@@ -80,7 +83,7 @@ def test_detect_grid_matches_scalar():
         y = scale * (rng.standard_normal((L, M))
                      + 1j * rng.standard_normal((L, M)))
         gain = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        out = detect_grid(y, gain)
+        out = detect_grid(np.conj(gain)[..., None] * y)
         assert out.shape == (L, M)
         for l in range(L):
             for m in range(M):
@@ -93,11 +96,12 @@ def test_detect_grid_batched_gain():
     y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
     gain = (rng.standard_normal((R, 2, L))
             + 1j * rng.standard_normal((R, 2, L)))
-    out = detect_grid(y, gain)
+    out = detect_grid(np.conj(gain)[..., None] * y)
     assert out.shape == (R, 2, L, M)
     for r in range(R):
         for k in range(2):
-            assert np.array_equal(out[r, k], detect_grid(y, gain[r, k]))
+            assert np.array_equal(
+                out[r, k], detect_grid(np.conj(gain[r, k])[..., None] * y))
             for l in range(L):
                 for m in range(M):
                     assert out[r, k, l, m] == qam_detect(y[l, m],
@@ -110,13 +114,14 @@ def test_detect_grid_exact_ties_follow_first_point_rule():
     y = np.array([[1.0, -1.0, 1j, -1j, 0.0, 2 - 2j, -3 + 1j]])
     for gain in (np.array([1.0 + 0j]), np.array([1j]), np.array([-1.0 + 0j]),
                  np.array([0j]), np.array([2.0 + 2.0j])):
-        out = detect_grid(y, gain)
+        out = detect_grid(np.conj(gain)[..., None] * y)
         for m in range(y.shape[1]):
             assert out[0, m] == qam_detect(y[0, m], gain[0]), (gain, m)
     # signed zeros are ties too
     y = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0),
                    complex(-0.0, -0.0)]])
-    out = detect_grid(y, np.array([1.0 + 0j]))
+    gain = np.array([1.0 + 0j])
+    out = detect_grid(np.conj(gain)[..., None] * y)
     assert np.array_equal(out[0], [1 + 1j, 1 + 1j, 1 + 1j])
 
 

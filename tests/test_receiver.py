@@ -68,6 +68,35 @@ def serial_em_run(slot, H, config, mode, real, rng):
     return runs, winner, s_hat, v_hat
 
 
+def residual_e_step(slot, H, v_tilde):
+    """Reference E-step that forms the residuals: exhaustive 4-QAM decisions
+    (ties to the first point) and the log metric -sum_l |y - g x|^2 / N0
+    under each hypothesis gain g = H + v s, for a (..., L) estimate."""
+    y = slot.y
+    gain = H + v_tilde[..., None, :] * np.array([-1.0, 1.0])[:, None]
+    gy = gain[..., None, None] * CONST.points
+    dist = np.abs(y[..., None] - gy) ** 2
+    xhat = CONST.points[np.argmin(dist, axis=-1)]
+    resid = np.abs(y - gain[..., None] * xhat) ** 2
+    ell = -resid.sum(axis=-2) / slot.N0
+    peak = ell.max(axis=-2)
+    w = np.exp(ell - peak[..., None, :])
+    total = w.sum(axis=-2)
+    posteriors = np.swapaxes(w / total[..., None, :], -1, -2)
+    loglik = np.sum(peak + np.log(total), axis=-1)
+    return posteriors, np.moveaxis(xhat, -3, -1), loglik
+
+
+def residual_m_step(slot, H, posteriors, xhat):
+    """Reference M-step from the residuals y - H xhat, valid for any xhat."""
+    p = posteriors[..., None, :, :]
+    resid = slot.y[..., None] - H[:, None, None] * xhat
+    s = np.array([-1.0, 1.0])
+    num = (p * s * np.conj(xhat) * resid).sum(axis=(-2, -1))
+    den = (p * np.abs(xhat) ** 2).sum(axis=(-2, -1))
+    return num / den
+
+
 def q_objective(slot, H, posteriors, xhat, l):
     def f(v):
         vc = v[0] + 1j * v[1]
@@ -104,9 +133,34 @@ class TestReceive:
 
 class TestEStep:
     def test_zero_estimate_gives_uniform_posteriors(self):
+        # both hypotheses share the gain H, so their metrics are equal
         _, real, _, _, slot, _ = make_slot(3)
-        posteriors, _, _ = em_e_step(slot, real.H, np.zeros(32, dtype=complex))
-        assert np.allclose(posteriors, 0.5)
+        for shape in ((32,), (3, 32)):
+            posteriors, _, _ = em_e_step(slot, real.H,
+                                         np.zeros(shape, dtype=complex))
+            assert np.all(posteriors == 0.5)
+
+    def test_matches_residual_oracle(self):
+        # batched (3, L) estimates: the truth, a rotated truth and a
+        # random guess, from low to very high SNR
+        rng = np.random.default_rng(23)
+        for L in (16, 32, 128):
+            for snr_db in (-4.0, 6.0, 20.0, 40.0):
+                _, real, _, _, slot, _ = make_slot(24 + L, snr_db=snr_db, L=L)
+                truth = real.beta_tilde * real.V
+                guess = 0.3 * (rng.standard_normal(L)
+                               + 1j * rng.standard_normal(L))
+                v = np.stack([truth, truth * np.exp(0.5j), guess])
+                posteriors, xhat, loglik = em_e_step(slot, real.H, v)
+                ref_post, ref_xhat, ref_loglik = residual_e_step(
+                    slot, real.H, v)
+                scale = np.sum(np.abs(slot.y) ** 2) / slot.N0
+                assert np.array_equal(xhat, ref_xhat), (L, snr_db)
+                assert np.max(np.abs(posteriors - ref_post)) < 1e-9
+                assert np.max(np.abs(loglik - ref_loglik)) < 1e-12 * scale
+                for k in range(3):
+                    alone = em_e_step(slot, real.H, v[k])
+                    assert np.array_equal(alone[1], xhat[k])
 
     def test_true_estimate_recovers_bits_noiselessly(self):
         params, real, frame, bits, _, rng = make_slot(4)
@@ -117,6 +171,16 @@ class TestEStep:
         idx = ((bits.s + 1) // 2).astype(int)
         assert np.all(posteriors[np.arange(params.M), idx] >=
                       posteriors[np.arange(params.M), 1 - idx])
+
+    def test_any_memory_layout(self):
+        _, real, _, _, slot, _ = make_slot(26)
+        v = np.full((3, 32), 0.3 + 0.1j)
+        flipped = receiver.ReceivedSlot(y=np.asfortranarray(slot.y),
+                                        N0=slot.N0)
+        got, want = em_e_step(flipped, real.H, v), em_e_step(slot, real.H, v)
+        assert np.array_equal(got[1], want[1])
+        assert np.allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
     def test_posteriors_normalized(self):
         _, real, _, _, slot, _ = make_slot(5)
@@ -147,6 +211,24 @@ class TestMStep:
         xhat = np.stack([frame, frame], axis=-1)
         nu = em_m_step_unconstrained(slot, real.H, posteriors, xhat)
         assert np.allclose(nu, real.beta_tilde * real.V, atol=1e-9)
+
+    def test_matches_residual_oracle(self):
+        # the residual-free form relies on |xhat|^2 = E_X: random 4-QAM
+        # decisions, unbatched and with a (3,) batch of posteriors
+        rng = np.random.default_rng(25)
+        for L in (16, 32, 128):
+            M = 100
+            y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
+            H = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            slot = receiver.ReceivedSlot(y=y, N0=1.0)
+            for batch in ((), (3,)):
+                p = rng.random(batch + (M, 2))
+                p /= p.sum(axis=-1, keepdims=True)
+                xhat = CONST.points[rng.integers(0, 4, batch + (L, M, 2))]
+                nu = em_m_step_unconstrained(slot, H, p, xhat)
+                ref = residual_m_step(slot, H, p, xhat)
+                assert nu.shape == batch + (L,)
+                assert np.all(np.abs(nu - ref) <= 1e-12 * np.abs(ref))
 
     def test_matches_numeric_minimizer(self):
         rng = np.random.default_rng(8)
