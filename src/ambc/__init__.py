@@ -11,15 +11,14 @@ from .config import E_X, EmConfig, Scheme, SimParams
 from .channel import (ChannelRealization, CirProfile, cir_to_freq,
                       sample_cir, sample_realization)
 from .ofdm import Constellation, gen_frame, qam4
-from .bd import BdBits, backscatter_frame, sample_bits
+from .bd import backscatter_frame, sample_bits
 from .receiver import (DetectionResult, ReceivedSlot, em_e_step,
                        em_m_step_unconstrained, em_run, genie_detect,
                        project_common_phase, receive, threshold_sweep)
 from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_chiani,
                        ber_cuif_closed, ber_cuif_conditional,
-                       ber_unknown_symbols, q_function, snr_db_to_gamma_x,
-                       theorem1_gap)
-from .montecarlo import (BerCurve, BerPoint, compare_curves, run_slot,
-                         slot_rng, sweep, trend_verdict)
+                       ber_unknown_symbols, q_function, theorem1_gap)
+from .montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
+                         trend_verdict)
 
 __version__ = "0.1.0"

@@ -46,11 +46,6 @@ class LinkBudget:
                    sigma_g=sigma, sigma_h=sigma)
 
 
-def snr_db_to_gamma_x(snr_db: float, e_x: float = E_X) -> float:
-    """gamma_x = E_x * SNR_linear with SNR defined as 1/N0."""
-    return e_x * 10.0 ** (snr_db / 10.0)
-
-
 def q_function(x):
     """Upper-tail standard normal probability."""
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))

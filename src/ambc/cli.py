@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, montecarlo
@@ -28,16 +28,11 @@ DEFAULT_SNR_VALUES = tuple(float(v) for v in range(9))
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    scheme: str                  # Scheme name or an ANALYTIC_* overlay
+class RunSpec:
+    schemes: tuple               # Scheme names and ANALYTIC_* overlays
     axis: str
     values: tuple
-    params: SimParams
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    sweeps: tuple
+    params: SimParams            # each Scheme's sweep sets its own scheme
     out: Path
     fmt: str = "csv"
     emit_plot_script: bool = False
@@ -96,40 +91,32 @@ def parse_args(argv) -> RunSpec:
             values = tuple(float(v) for v in args.values.split(","))
         except ValueError:
             parser.error(f"--values: cannot parse {args.values!r}")
-    _check_workers(parser, args.workers)
-    sweeps = []
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
         em = EmConfig(n_iter_max=args.niter, epsilon=args.epsilon)
+        params = SimParams(L=args.L, M=args.M, P=args.P, alpha_sq=args.alpha2,
+                           snr_db=args.snr_db, scheme=scheme_objs[0], em=em,
+                           slots=args.slots, seed=args.seed)
         for scheme in scheme_objs:
-            params = SimParams(L=args.L, M=args.M, P=args.P,
-                               alpha_sq=args.alpha2, snr_db=args.snr_db,
-                               scheme=scheme, em=em, slots=args.slots,
-                               seed=args.seed)
             for value in values:
-                params.at(args.axis, value)
-            sweeps.append(SweepSpec(scheme.value, args.axis, values, params))
+                params.with_(scheme=scheme).at(args.axis, value)
     except ValueError as exc:
         parser.error(f"invalid run parameters: {exc}")
+    names = [scheme.value for scheme in scheme_objs]
     if args.analytic:
-        base = sweeps[0].params
-        sweeps.append(SweepSpec(ANALYTIC_CUIF, args.axis, values, base))
-        sweeps.append(SweepSpec(ANALYTIC_MIX, args.axis, values, base))
-    return RunSpec(sweeps=tuple(sweeps), out=Path(args.out), fmt=args.fmt,
+        names += [ANALYTIC_CUIF, ANALYTIC_MIX]
+    return RunSpec(schemes=tuple(names), axis=args.axis, values=values,
+                   params=params, out=Path(args.out), fmt=args.fmt,
                    emit_plot_script=args.emit_plot_script,
                    workers=args.workers, include_timing=args.timing)
 
 
-def _check_workers(parser: argparse.ArgumentParser, workers: int) -> None:
-    if workers < 1:
-        parser.error(f"--workers must be >= 1, got {workers}")
-
-
-def _analytic_points(spec: SweepSpec):
+def _analytic_points(spec: RunSpec, scheme: str):
     points = []
     for value in sorted(spec.values):
-        params = spec.params.at(spec.axis, value)
-        budget = analysis.LinkBudget.from_sim(params)
-        if spec.scheme == ANALYTIC_CUIF:
+        budget = analysis.LinkBudget.from_sim(spec.params.at(spec.axis, value))
+        if scheme == ANALYTIC_CUIF:
             ber = analysis.ber_cuif_closed(budget)
         else:
             ber = analysis.ber_unknown_symbols(budget)
@@ -141,25 +128,26 @@ def _analytic_points(spec: SweepSpec):
 
 
 def execute(spec: RunSpec):
-    """Run every sweep; returns [(SweepSpec, BerCurve)]."""
+    """Run every scheme's sweep; returns [(scheme name, BerCurve)]."""
     results = []
-    for sw in spec.sweeps:
-        if sw.scheme in (ANALYTIC_CUIF, ANALYTIC_MIX):
-            results.append((sw, _analytic_points(sw)))
+    for scheme in spec.schemes:
+        if scheme in (ANALYTIC_CUIF, ANALYTIC_MIX):
+            curve = _analytic_points(spec, scheme)
         else:
-            curve = montecarlo.sweep(sw.params, sw.axis, sw.values,
+            curve = montecarlo.sweep(spec.params.with_(scheme=Scheme(scheme)),
+                                     spec.axis, spec.values,
                                      n_workers=spec.workers)
-            results.append((sw, curve))
+        results.append((scheme, curve))
     return results
 
 
 def _rows(results, spec: RunSpec):
-    for sw, curve in results:
+    for scheme, curve in results:
         for point in curve.points:
-            params = sw.params.at(sw.axis, point.swept_value)
+            params = spec.params.at(spec.axis, point.swept_value)
             yield {
-                "scheme": sw.scheme,
-                "axis": sw.axis,
+                "scheme": scheme,
+                "axis": spec.axis,
                 "value": point.swept_value,
                 "L": params.L,
                 "M": params.M,
@@ -167,7 +155,7 @@ def _rows(results, spec: RunSpec):
                 "alpha2": params.alpha_sq,
                 "snr_db": params.snr_db,
                 "niter": params.em.n_iter_max,
-                "slots": 0 if sw.scheme.startswith("ANALYTIC") else params.slots,
+                "slots": 0 if scheme.startswith("ANALYTIC") else params.slots,
                 "bit_errors": point.bit_errors,
                 "total_bits": point.total_bits,
                 "ber": point.ber,
@@ -239,13 +227,13 @@ plt.savefig({(data_path.stem + '.png')!r}, dpi=150)
 """
 
 
+# The paper's five sweeps of CAMF against CUIF, as `ambc run` arguments.
 REPRODUCE_EXPERIMENTS = {
-    # name: (axis, values, snr_db, analytic overlays)
-    "snr": ("snr_db", DEFAULT_SNR_VALUES, None, True),
-    "niter": ("n_iter", (1, 2, 3, 5, 10, 20), 6.0, False),
-    "alpha": ("alpha_sq", (0.05, 0.1, 0.2, 0.3, 0.4), 6.0, False),
-    "length": ("L", (16, 32, 64, 128), 6.0, False),
-    "paths": ("P", (1, 2, 4, 8), 6.0, False),
+    "snr": ["--analytic"],
+    "niter": ["--axis", "n_iter", "--values", "1,2,3,5,10,20"],
+    "alpha": ["--axis", "alpha_sq", "--values", "0.05,0.1,0.2,0.3,0.4"],
+    "length": ["--axis", "L", "--values", "16,32,64,128"],
+    "paths": ["--axis", "P", "--values", "1,2,4,8"],
 }
 
 
@@ -263,30 +251,14 @@ def parse_reproduce_args(argv) -> list[RunSpec]:
                         choices=sorted(REPRODUCE_EXPERIMENTS),
                         help="run a subset of the experiments (repeatable)")
     args = parser.parse_args(argv)
-    _check_workers(parser, args.workers)
-
-    names = args.only or list(REPRODUCE_EXPERIMENTS)
-    out_dir = Path(args.out)
-    specs = []
-    for name in names:
-        axis, values, snr_db, overlays = REPRODUCE_EXPERIMENTS[name]
-        try:
-            base = SimParams(slots=args.slots, seed=args.seed,
-                             snr_db=6.0 if snr_db is None else snr_db)
-        except ValueError as exc:
-            parser.error(f"invalid run parameters: {exc}")
-        sweeps = [
-            SweepSpec("CAMF", axis, values, base.with_(scheme=Scheme.CAMF)),
-            SweepSpec("CUIF", axis, values, base.with_(scheme=Scheme.CUIF)),
-        ]
-        if overlays:
-            sweeps.append(SweepSpec(ANALYTIC_CUIF, axis, values, base))
-            sweeps.append(SweepSpec(ANALYTIC_MIX, axis, values, base))
-        specs.append(RunSpec(sweeps=tuple(sweeps),
-                             out=out_dir / f"sweep_{name}.csv",
-                             emit_plot_script=args.emit_plot_script,
-                             workers=args.workers))
-    return specs
+    common = ["--slots", str(args.slots), "--seed", str(args.seed),
+              "--workers", str(args.workers)]
+    if args.emit_plot_script:
+        common.append("--emit-plot-script")
+    # "--out=" keeps an --out value that starts with "-" a value
+    return [parse_args(common + REPRODUCE_EXPERIMENTS[name]
+                       + [f"--out={Path(args.out) / f'sweep_{name}.csv'}"])
+            for name in args.only or REPRODUCE_EXPERIMENTS]
 
 
 def main(argv=None) -> int:

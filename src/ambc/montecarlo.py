@@ -84,7 +84,7 @@ def run_slot(params: SimParams, slot_index: int,
 
     pilot = params.scheme in EM_SCHEMES
     bits = bd.sample_bits(params.M, rng, pilot_first=pilot)
-    a = bd.backscatter_frame(params.scheme, real, frame, bits.s)
+    a = bd.backscatter_frame(params.scheme, real, frame, bits)
     slot = receiver.receive(real.H, frame, a, params.n0, rng)
 
     if pilot:
@@ -95,7 +95,7 @@ def run_slot(params: SimParams, slot_index: int,
     else:
         s_hat = receiver.genie_detect(slot, real.H, frame, real, params.scheme)
         start = 0
-    errors = int(np.sum(s_hat[start:] != bits.s[start:]))
+    errors = int(np.sum(s_hat[start:] != bits[start:]))
     return errors, params.M - start
 
 
@@ -162,18 +162,6 @@ def sweep(params: SimParams, axis: str, values,
                     params_snapshot=params)
 
 
-@dataclass(frozen=True)
-class CurveComparison:
-    """Pointwise differences (a - b) with pooled errors and trend verdicts."""
-
-    axis_name: str
-    values: np.ndarray
-    diffs: np.ndarray
-    pooled_stderrs: np.ndarray
-    trend_a: str
-    trend_b: str
-
-
 def trend_verdict(curve: BerCurve, n_sigma: float = 3.0) -> str:
     """Mann-Kendall-style verdict on a BER curve.
 
@@ -198,17 +186,3 @@ def trend_verdict(curve: BerCurve, n_sigma: float = 3.0) -> str:
         return "increasing"
     return "flat"
 
-
-def compare_curves(a: BerCurve, b: BerCurve) -> CurveComparison:
-    va = np.array([p.swept_value for p in a.points])
-    vb = np.array([p.swept_value for p in b.points])
-    if a.axis_name != b.axis_name or not np.array_equal(va, vb):
-        raise ValueError("curves have mismatched axes")
-    return CurveComparison(
-        axis_name=a.axis_name,
-        values=va,
-        diffs=a.bers - b.bers,
-        pooled_stderrs=np.hypot(a.stderrs, b.stderrs),
-        trend_a=trend_verdict(a),
-        trend_b=trend_verdict(b),
-    )

@@ -4,8 +4,7 @@ from scipy import integrate
 
 from ambc.analysis import (LinkBudget, ber_camf_conditional, ber_cuif_chiani,
                            ber_cuif_closed, ber_cuif_conditional,
-                           ber_unknown_symbols, q_function,
-                           snr_db_to_gamma_x, theorem1_gap)
+                           ber_unknown_symbols, q_function, theorem1_gap)
 from ambc.channel import cir_to_freq, sample_cir, CirProfile
 from ambc.config import E_X, SimParams
 
@@ -33,7 +32,6 @@ def test_q_function_against_quadrature():
 
 
 def test_gamma_x_conversion():
-    assert np.isclose(snr_db_to_gamma_x(6.0), 2 * 10 ** 0.6)
     assert np.isclose(budget_at(6.0).gamma_x, 2 * 10 ** 0.6)
 
 

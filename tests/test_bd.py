@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ambc.bd import BdBits, backscatter_frame, sample_bits
+from ambc.bd import backscatter_frame, sample_bits
 from ambc.channel import realization_from_parts, sample_realization
 from ambc.config import Scheme, SimParams
 from ambc.ofdm import gen_frame
@@ -17,18 +17,10 @@ def _tag_filter(real, scheme):
     return real.effective_gain(scheme) / (real.beta * real.G)
 
 
-def test_bits_validation():
-    with pytest.raises(ValueError):
-        BdBits(np.array([1, 0, -1]))
-    with pytest.raises(ValueError):
-        BdBits(np.array([-1, 1]), pilot_first=True)
-    assert BdBits(np.array([1, -1]), pilot_first=True).s[0] == 1
-
-
 def test_sample_bits_pilot():
     bits = sample_bits(50, np.random.default_rng(0), pilot_first=True)
-    assert bits.s[0] == 1
-    assert np.all(np.isin(bits.s, (-1, 1)))
+    assert bits[0] == 1
+    assert np.all(np.isin(bits, (-1, 1)))
 
 
 def test_cuif_waveform():
@@ -104,7 +96,7 @@ def test_camf_common_phase_property():
 def test_backscatter_frame_matches_columns():
     real, rng = _random_realization(7)
     frame = gen_frame(32, 10, rng)
-    s = sample_bits(10, rng).s
+    s = sample_bits(10, rng)
     for scheme, gain in ((Scheme.CAMF, real.beta_tilde * real.V),
                          (Scheme.CUIF, real.beta * real.G)):
         a = backscatter_frame(scheme, real, frame, s)

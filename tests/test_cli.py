@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +11,10 @@ from ambc.config import Scheme
 
 def test_parse_defaults():
     spec = cli.parse_args([])
-    assert [sw.scheme for sw in spec.sweeps] == ["CAMF", "CUIF"]
-    assert spec.sweeps[0].axis == "snr_db"
-    assert spec.sweeps[0].values == tuple(float(v) for v in range(9))
-    p = spec.sweeps[0].params
+    assert spec.schemes == ("CAMF", "CUIF")
+    assert spec.axis == "snr_db"
+    assert spec.values == tuple(float(v) for v in range(9))
+    p = spec.params
     assert (p.L, p.M, p.P, p.alpha_sq, p.snr_db) == (32, 100, 4, 0.2, 6.0)
     assert p.em.n_iter_max == 5
     assert spec.fmt == "csv"
@@ -22,15 +24,16 @@ def test_parse_defaults():
 def test_parse_scheme_and_values():
     spec = cli.parse_args(["--scheme", "GENIE_CUIF", "--axis", "alpha_sq",
                            "--values", "0.1,0.2"])
-    assert [sw.scheme for sw in spec.sweeps] == ["GENIE_CUIF"]
-    assert spec.sweeps[0].values == (0.1, 0.2)
-    assert spec.sweeps[0].params.scheme is Scheme.GENIE_CUIF
+    assert spec.schemes == ("GENIE_CUIF",)
+    assert spec.axis == "alpha_sq"
+    assert spec.values == (0.1, 0.2)
+    assert spec.params.scheme is Scheme.GENIE_CUIF
 
 
 def test_parse_analytic_overlays():
     spec = cli.parse_args(["--analytic"])
-    assert [sw.scheme for sw in spec.sweeps] == [
-        "CAMF", "CUIF", cli.ANALYTIC_CUIF, cli.ANALYTIC_MIX]
+    assert spec.schemes == ("CAMF", "CUIF", cli.ANALYTIC_CUIF,
+                            cli.ANALYTIC_MIX)
 
 
 def test_parse_rejects_incompatible_geometry():
@@ -55,7 +58,10 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
                  ["--snr-db", "nan", "--axis", "L", "--values", "16"],
                  ["--seed", "-1"], ["reproduce", "--seed", "-1"],
                  ["--scheme", "CAMF", "--values", "6", "--slots", "2",
-                  "--epsilon", "nan"], ["--epsilon", "inf"]):
+                  "--epsilon", "nan"], ["--epsilon", "inf"],
+                 ["--scheme", "CUIF", "--scheme", "CAMF", "--M", "1"],
+                 # every scheme is checked, not just the first
+                 ["--scheme", "GENIE_CUIF", "--scheme", "CAMF", "--M", "1"]):
         # usage errors: exit status 2 through argparse, no traceback
         assert cli.main(argv) == 2, argv
 
@@ -131,12 +137,45 @@ def test_reproduce_parser_builds_all_experiments(tmp_path):
     names = [spec.out.name for spec in specs]
     assert names == ["sweep_snr.csv", "sweep_niter.csv", "sweep_alpha.csv",
                      "sweep_length.csv", "sweep_paths.csv"]
-    snr = specs[0]
-    assert [sw.scheme for sw in snr.sweeps] == [
-        "CAMF", "CUIF", cli.ANALYTIC_CUIF, cli.ANALYTIC_MIX]
-    for spec in specs[1:]:
-        assert [sw.scheme for sw in spec.sweeps] == ["CAMF", "CUIF"]
-        assert spec.sweeps[0].params.snr_db == 6.0
+    expected = [
+        ("snr_db", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+        ("n_iter", (1, 2, 3, 5, 10, 20)),
+        ("alpha_sq", (0.05, 0.1, 0.2, 0.3, 0.4)),
+        ("L", (16, 32, 64, 128)),
+        ("P", (1, 2, 4, 8)),
+    ]
+    for spec, (axis, values) in zip(specs, expected):
+        overlays = ((cli.ANALYTIC_CUIF, cli.ANALYTIC_MIX)
+                    if axis == "snr_db" else ())
+        assert spec.schemes == ("CAMF", "CUIF") + overlays
+        assert spec.axis == axis
+        assert spec.values == tuple(float(v) for v in values)
+        assert spec.out.parent == tmp_path
+        p = spec.params
+        assert (p.L, p.M, p.P, p.alpha_sq, p.snr_db) == (32, 100, 4, 0.2, 6.0)
+        assert (p.slots, p.seed, spec.workers) == (5, 0, 1)
+    [dashed] = cli.parse_reproduce_args(["--out=-x", "--only", "paths"])
+    assert dashed.out == Path("-x") / "sweep_paths.csv"
+
+
+# sha256 of the count-and-parameter columns of `reproduce --slots 2 --seed 7`
+REPRODUCE_PINNED_COLUMNS = ["scheme", "axis", "value", "L", "M", "P", "alpha2",
+                            "snr_db", "niter", "slots", "total_bits"]
+REPRODUCE_PINNED_SHA256 = (
+    "b14d886b4b1d3c794f1fc82caff312c31b0d779bffa57f42b9abb51a5eb260c4")
+
+
+def test_reproduce_rows_pinned(tmp_path):
+    # BER columns are left out so a libm or scipy difference cannot fail this
+    assert cli.main(["reproduce", "--out", str(tmp_path), "--slots", "2",
+                     "--seed", "7"]) == 0
+    digest = hashlib.sha256()
+    for name in ("snr", "niter", "alpha", "length", "paths"):
+        lines = (tmp_path / f"sweep_{name}.csv").read_text().splitlines()
+        for row in csv.DictReader(lines[1:]):
+            line = ",".join(row[c] for c in REPRODUCE_PINNED_COLUMNS)
+            digest.update((line + "\n").encode())
+    assert digest.hexdigest() == REPRODUCE_PINNED_SHA256
 
 
 def test_reproduce_only_subset_runs(tmp_path):

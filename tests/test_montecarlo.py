@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ambc import montecarlo
 from ambc.analysis import LinkBudget, ber_cuif_closed
 from ambc.config import EmConfig, Scheme, SimParams
-from ambc.montecarlo import (BerCurve, BerPoint, compare_curves, run_slot,
-                             slot_rng, sweep, trend_verdict)
+from ambc.montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
+                             trend_verdict)
 
 
 def test_slot_rng_reproducible_and_distinct():
@@ -245,22 +245,3 @@ def test_trend_verdicts():
 
 def test_trend_single_point_flat():
     assert trend_verdict(make_curve([1e-3][:1])) == "flat"
-
-
-def test_compare_curves():
-    a = make_curve([1e-2, 1e-3, 1e-4])
-    b = make_curve([2e-2, 2e-3, 2e-4])
-    cmp = compare_curves(a, b)
-    assert np.all(cmp.diffs < 0)
-    assert cmp.trend_a == cmp.trend_b == "decreasing"
-    assert np.allclose(cmp.pooled_stderrs,
-                       np.hypot(a.stderrs, b.stderrs))
-
-
-def test_compare_curves_mismatched_axes():
-    a = make_curve([1e-2, 1e-3])
-    params = SimParams()
-    pts = (BerPoint.from_counts(0.0, 10, 1000),)
-    b = BerCurve(axis_name="snr_db", points=pts, params_snapshot=params)
-    with pytest.raises(ValueError):
-        compare_curves(a, b)

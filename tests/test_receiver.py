@@ -22,7 +22,7 @@ def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
     real = channel.sample_realization(params, rng)
     frame = gen_frame(L, M, rng)
     bits = bd.sample_bits(M, rng, pilot_first=True)
-    a = bd.backscatter_frame(scheme, real, frame, bits.s)
+    a = bd.backscatter_frame(scheme, real, frame, bits)
     slot = receive(real.H, frame, a, params.n0 if n0 is None else n0, rng)
     return params, real, frame, bits, slot, rng
 
@@ -114,10 +114,10 @@ class TestReceive:
 
     def test_noiseless_camf_structure(self):
         params, real, frame, bits, _, rng = make_slot(1)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         expected = ((real.H[:, None]
-                     + real.beta_tilde * real.V[:, None] * bits.s[None, :])
+                     + real.beta_tilde * real.V[:, None] * bits[None, :])
                     * frame)
         assert np.allclose(slot.y, expected)
 
@@ -164,11 +164,11 @@ class TestEStep:
 
     def test_true_estimate_recovers_bits_noiselessly(self):
         params, real, frame, bits, _, rng = make_slot(4)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)  # finite metric
         posteriors, _, _ = em_e_step(slot, real.H, real.beta_tilde * real.V)
-        idx = ((bits.s + 1) // 2).astype(int)
+        idx = ((bits + 1) // 2).astype(int)
         assert np.all(posteriors[np.arange(params.M), idx] >=
                       posteriors[np.arange(params.M), 1 - idx])
 
@@ -204,10 +204,10 @@ class TestMStep:
 
     def test_plug_in_identity(self):
         params, real, frame, bits, _, rng = make_slot(7)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         posteriors = np.zeros((params.M, 2))
-        posteriors[np.arange(params.M), ((bits.s + 1) // 2).astype(int)] = 1.0
+        posteriors[np.arange(params.M), ((bits + 1) // 2).astype(int)] = 1.0
         xhat = np.stack([frame, frame], axis=-1)
         nu = em_m_step_unconstrained(slot, real.H, posteriors, xhat)
         assert np.allclose(nu, real.beta_tilde * real.V, atol=1e-9)
@@ -297,13 +297,13 @@ class TestProjection:
 class TestEmRun:
     def test_noiseless_descent_from_truth(self):
         params, real, frame, bits, _, rng = make_slot(11)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         _, posteriors, iterations, converged, _ = serial_descent(
             slot, real.H, EmConfig(), Scheme.CAMF, real.beta_tilde * real.V)
         s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
-        assert np.array_equal(s_hat, bits.s)
+        assert np.array_equal(s_hat, bits)
         assert converged and iterations <= 2
 
     def test_batched_restarts_match_serial_descents(self):
@@ -337,11 +337,11 @@ class TestEmRun:
 
     def test_decodes_noiseless_slot(self):
         params, real, frame, bits, _, rng = make_slot(12)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
-        assert np.array_equal(result.s_hat, bits.s)
+        assert np.array_equal(result.s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
@@ -361,9 +361,9 @@ class TestEmRun:
         # (s, V) and (-s, -V) generate identical received grids, so the
         # detector cannot tell them apart; the pilot fixes one labeling
         params, real, frame, bits, _, rng = make_slot(15)
-        a_pos = bd.backscatter_frame(Scheme.CAMF, real, frame, bits.s)
+        a_pos = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         gain = real.beta_tilde * real.V
-        a_neg = (-gain[:, None]) * frame * (-bits.s[None, :])
+        a_neg = (-gain[:, None]) * frame * (-bits[None, :])
         assert np.allclose(a_pos, a_neg)
 
     def test_cuif_mode_runs_unconstrained(self):
@@ -393,17 +393,17 @@ class TestGenie:
     def test_noiseless_zero_errors(self):
         params, real, frame, bits, _, rng = make_slot(18)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            a = bd.backscatter_frame(scheme, real, frame, bits.s)
+            a = bd.backscatter_frame(scheme, real, frame, bits)
             slot = receive(real.H, frame, a, 0.0, rng)
             s_hat = genie_detect(slot, real.H, frame, real, scheme)
-            assert np.array_equal(s_hat, bits.s)
+            assert np.array_equal(s_hat, bits)
 
     def test_cuif_ber_matches_conditional_formula(self):
         # fixed channel, many independent symbols
         params, real, _, _, _, rng = make_slot(19)
         n = 10 ** 5
         frame = gen_frame(params.L, n, rng)
-        s = bd.sample_bits(n, rng).s
+        s = bd.sample_bits(n, rng)
         a = bd.backscatter_frame(Scheme.GENIE_CUIF, real, frame, s)
         slot = receive(real.H, frame, a, params.n0, rng)
         s_hat = genie_detect(slot, real.H, frame, real, Scheme.GENIE_CUIF)
@@ -421,7 +421,7 @@ class TestGenie:
             alpha=np.sqrt(0.2), theta=0.9)
         rng = np.random.default_rng(20)
         frame = gen_frame(L, M, rng)
-        s = bd.sample_bits(M, rng).s
+        s = bd.sample_bits(M, rng)
         noise = 0.5 * (rng.standard_normal((L, M))
                        + 1j * rng.standard_normal((L, M)))
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
