@@ -15,9 +15,9 @@ from .bd import backscatter_frame, sample_bits
 from .receiver import (DetectionResult, ReceivedSlot, em_e_step,
                        em_m_step_unconstrained, em_run, genie_detect,
                        project_common_phase, receive, threshold_sweep)
-from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_chiani,
-                       ber_cuif_closed, ber_cuif_conditional,
-                       ber_unknown_symbols, q_function, theorem1_gap)
+from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
+                       ber_cuif_conditional, ber_unknown_symbols, q_function,
+                       theorem1_gap)
 from .montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
                          trend_verdict)
 

@@ -1,8 +1,8 @@
 """Multipath Rayleigh channel synthesis for one block-fading slot.
 
 The legacy-transmitter-to-reader and legacy-transmitter-to-tag links are
-frequency selective (P taps); the tag-to-reader link is flat with unit
-modulus gain f = e^{j theta}.
+frequency selective, with P equal-power Rayleigh taps of variance 1/P; the
+tag-to-reader link is flat with unit modulus gain f = e^{j theta}.
 """
 
 from __future__ import annotations
@@ -16,25 +16,22 @@ from .config import Scheme, SimParams
 
 @dataclass(frozen=True)
 class CirProfile:
-    """Per-tap power profile of a channel impulse response."""
+    """Equal-power profile of a P-tap channel impulse response: each tap
+    has variance 1/P, so the total link power is 1."""
 
     taps: int
-    variances: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.variances, dtype=float)
-        object.__setattr__(self, "variances", v)
         if self.taps <= 0:
             raise ValueError("taps must be positive")
-        if v.shape != (self.taps,):
-            raise ValueError("variances length must equal taps")
-        if np.any(v < 0):
-            raise ValueError("variances must be nonnegative")
 
     @classmethod
     def uniform(cls, taps: int) -> "CirProfile":
-        """Equal-power profile with per-tap variance 1/P."""
-        return cls(taps, np.full(taps, 1.0 / taps))
+        return cls(taps)
+
+    @property
+    def variances(self) -> np.ndarray:
+        return np.full(self.taps, 1.0 / self.taps)
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,8 @@ def realization_from_parts(h: np.ndarray, g: np.ndarray, L: int,
 
 def sample_realization(params: SimParams,
                        rng: np.random.Generator) -> ChannelRealization:
-    """Draw h, g and theta for one slot under the uniform 1/P profile."""
-    profile = CirProfile.uniform(params.P)
+    """Draw h, g and theta for one slot under the equal-power profile."""
+    profile = CirProfile(params.P)
     h = sample_cir(profile, rng)
     g = sample_cir(profile, rng)
     theta = rng.uniform(0.0, 2.0 * np.pi)

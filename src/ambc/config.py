@@ -23,6 +23,10 @@ EM_SCHEMES = (Scheme.CAMF, Scheme.CUIF)
 SWEEP_AXES = ("snr_db", "L", "P", "alpha_sq", "n_iter")
 _INTEGER_AXES = ("L", "P", "n_iter")
 
+# Bound on |snr_db|; near 3000 dB, N0 = 10^(-snr_db/10) and the receiver's
+# statistics overflow or underflow.
+MAX_SNR_DB = 1000.0
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -65,8 +69,9 @@ class SimParams:
             raise ValueError("slots must be >= 1")
         if not (0.0 < self.alpha_sq <= 1.0):
             raise ValueError("alpha_sq must be in (0, 1]")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not abs(self.snr_db) <= MAX_SNR_DB:  # also rejects nan
+            raise ValueError(f"snr_db must lie in [-{MAX_SNR_DB:g}, "
+                             f"{MAX_SNR_DB:g}] dB, got {self.snr_db!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 

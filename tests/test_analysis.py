@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ambc.analysis import (LinkBudget, ber_camf_conditional, ber_cuif_chiani,
-                           ber_cuif_closed, ber_cuif_conditional,
-                           ber_unknown_symbols, q_function, theorem1_gap)
+from ambc.analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
+                           ber_cuif_conditional, ber_unknown_symbols,
+                           q_function, theorem1_gap)
 from ambc.channel import cir_to_freq, sample_cir, CirProfile
 from ambc.config import E_X, SimParams
 
@@ -37,7 +37,7 @@ def test_gamma_x_conversion():
 
 def test_conditional_cuif_no_signal():
     G = np.ones(8)
-    assert ber_cuif_conditional(G, 0.0, E_X, 1.0) == 0.5
+    assert ber_cuif_conditional(G, 0.0, 1.0) == 0.5
 
 
 def test_conditional_cuif_forms_agree():
@@ -45,7 +45,7 @@ def test_conditional_cuif_forms_agree():
     g = sample_cir(CirProfile.uniform(4), rng)
     G = cir_to_freq(g, 32)
     beta, n0 = 0.4 + 0.2j, 0.5
-    via_l = ber_cuif_conditional(G, beta, E_X, n0)
+    via_l = ber_cuif_conditional(G, beta, n0)
     arg = 2 * abs(beta) ** 2 * 32 * (E_X / n0) * np.sum(np.abs(g) ** 2)
     via_p = float(q_function(np.sqrt(arg)))
     assert abs(via_l - via_p) < 1e-10
@@ -53,7 +53,7 @@ def test_conditional_cuif_forms_agree():
 
 def test_conditional_cuif_noiseless_limit():
     G = np.ones(8)
-    assert ber_cuif_conditional(G, 0.5, E_X, 1e-12) < 1e-300
+    assert ber_cuif_conditional(G, 0.5, 1e-12) < 1e-300
 
 
 def test_camf_conditional_flat_equals_cuif():
@@ -61,8 +61,8 @@ def test_camf_conditional_flat_equals_cuif():
     G = np.exp(1j * np.linspace(0, 3, L))  # flat magnitude
     beta = 0.4 * np.exp(0.3j)
     kappa = np.sqrt(L) / np.linalg.norm(G)
-    camf = ber_camf_conditional(G, beta * kappa, E_X, 0.7)
-    cuif = ber_cuif_conditional(G, beta, E_X, 0.7)
+    camf = ber_camf_conditional(G, beta * kappa, 0.7)
+    cuif = ber_cuif_conditional(G, beta, 0.7)
     assert abs(camf - cuif) < 1e-12
 
 
@@ -73,55 +73,23 @@ def test_camf_conditional_never_worse():
         G = cir_to_freq(g, 32)
         beta = 0.447
         kappa = np.sqrt(32) / np.linalg.norm(G)
-        assert (ber_camf_conditional(G, beta * kappa, E_X, 0.5)
-                <= ber_cuif_conditional(G, beta, E_X, 0.5) + 1e-15)
+        assert (ber_camf_conditional(G, beta * kappa, 0.5)
+                <= ber_cuif_conditional(G, beta, 0.5) + 1e-15)
 
 
 def test_camf_conditional_no_signal():
-    assert ber_camf_conditional(np.ones(8), 0.0, E_X, 1.0) == 0.5
-
-
-def test_chiani_zero_snr_limit():
-    b = LinkBudget(L=32, P_g=4, P_h=4, alpha_sq=0.2, gamma_x=1e-12,
-                   sigma_g=np.full(4, 0.25), sigma_h=np.full(4, 0.25))
-    assert abs(ber_cuif_chiani(b) - 1 / 3) < 1e-9
-
-
-def test_chiani_close_to_closed_form():
-    b = budget_at(6.0)
-    chiani = ber_cuif_chiani(b)
-    closed = ber_cuif_closed(b)
-    assert abs(chiani - closed) / closed < 0.25
-
-
-def test_chiani_within_25pct_over_snr_range():
-    for snr in np.arange(0.0, 10.5, 0.5):
-        b = budget_at(snr)
-        assert (abs(ber_cuif_chiani(b) - ber_cuif_closed(b))
-                / ber_cuif_closed(b) < 0.25)
-
-
-def test_chiani_decreases_with_L():
-    assert ber_cuif_chiani(budget_at(6.0, L=64)) < ber_cuif_chiani(
-        budget_at(6.0, L=32))
+    assert ber_camf_conditional(np.ones(8), 0.0, 1.0) == 0.5
 
 
 def test_closed_form_single_branch():
     b = budget_at(4.0, P=1)
-    branch = b.L * b.beta_sq * b.gamma_x * b.sigma_g[0]
+    branch = b.L * b.beta_sq * b.gamma_x * (1 / b.P)
     mu = np.sqrt(branch / (1 + branch))
     assert np.isclose(ber_cuif_closed(b), (1 - mu) / 2)
 
 
 def test_closed_form_high_snr_limit():
     assert ber_cuif_closed(budget_at(80.0)) < 1e-12
-
-
-def test_closed_form_rejects_unequal_variances():
-    b = LinkBudget(L=32, P_g=2, P_h=2, alpha_sq=0.2, gamma_x=5.0,
-                   sigma_g=np.array([0.7, 0.3]), sigma_h=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        ber_cuif_closed(b)
 
 
 def test_closed_form_matches_conditional_expectation():
@@ -136,6 +104,44 @@ def test_closed_form_matches_conditional_expectation():
     mean = samples.mean()
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(mean - ber_cuif_closed(b)) < 3 * se
+
+
+# (L, P, snr_db, ber_cuif_closed, ber_unknown_symbols) at alpha_sq = 0.2,
+# recorded before the closed forms were restated for equal-power taps
+PINNED_CLOSED_FORMS = [
+    (16, 1, 0.0, 0.03500944502472286, 0.050518117867270146),
+    (16, 1, 6.0, 0.009532360363268766, 0.012171722537767899),
+    (16, 4, 0.0, 0.003606138831793749, 0.010339248696185417),
+    (16, 4, 6.0, 4.909938295346258e-05, 0.0001274391257205495),
+    (16, 8, 0.0, 0.0012574509935342959, 0.005682851814717197),
+    (16, 8, 6.0, 1.1765634966094887e-06, 7.236014464306761e-06),
+    (32, 1, 0.0, 0.018456587656923207, 0.02693032501794632),
+    (32, 1, 6.0, 0.0048349817617980295, 0.006143950996178781),
+    (32, 4, 0.0, 0.0004887401061955535, 0.0017107567269972499),
+    (32, 4, 6.0, 3.953718391991615e-06, 1.0198406580469006e-05),
+    (32, 8, 0.0, 5.802922468481373e-05, 0.00043583762013629134),
+    (32, 8, 6.0, 1.203402744304331e-08, 7.695430822518672e-08),
+    (128, 1, 0.0, 0.004812431527861705, 0.007086504096834084),
+    (128, 1, 6.0, 0.001222012459758226, 0.0015475496314926393),
+    (128, 4, 0.0, 3.88423078403215e-06, 1.6887884716406465e-05),
+    (128, 4, 6.0, 1.8905967984954832e-08, 4.85065129226497e-08),
+    (128, 8, 0.0, 1.1642344735262284e-08, 1.8087671265932658e-07),
+    (128, 8, 6.0, 4.13325010141341e-13, 2.6976527217860595e-12),
+]
+
+
+def test_closed_forms_pinned():
+    for L, P, snr, closed, mix in PINNED_CLOSED_FORMS:
+        b = budget_at(snr, L=L, P=P)
+        assert ber_cuif_closed(b) == pytest.approx(closed, rel=1e-13, abs=0)
+        assert ber_unknown_symbols(b) == pytest.approx(mix, rel=1e-13, abs=0)
+
+
+def test_link_budget_validation():
+    for kwargs in ({"P": 0}, {"gamma_x": 0.0}, {"alpha_sq": -0.1}):
+        with pytest.raises(ValueError):
+            LinkBudget(**{"L": 32, "P": 4, "alpha_sq": 0.2, "gamma_x": 5.0,
+                          **kwargs})
 
 
 def test_unknown_symbols_limits():
@@ -190,11 +196,14 @@ def test_theorem1_rejects_zero_channel():
 def test_probability_ranges_and_monotonicity():
     snrs = np.arange(-2.0, 12.0)
     closed = [ber_cuif_closed(budget_at(s)) for s in snrs]
-    chiani = [ber_cuif_chiani(budget_at(s)) for s in snrs]
     mix = [ber_unknown_symbols(budget_at(s)) for s in snrs]
-    for seq in (closed, chiani, mix):
+    for seq in (closed, mix):
         assert all(0 <= v <= 0.5 for v in seq)
         assert all(a >= b for a, b in zip(seq, seq[1:]))
+    # coin-flip points where rounding in the binomials exceeded 0.5
+    for L, P in ((4, 1), (5, 5)):
+        b = budget_at(-1000.0, L=L, P=P)
+        assert ber_cuif_closed(b) <= 0.5 and ber_unknown_symbols(b) <= 0.5
     for L in (8, 16, 32, 64):
         assert (ber_cuif_closed(budget_at(6.0, L=2 * L))
                 <= ber_cuif_closed(budget_at(6.0, L=L)))

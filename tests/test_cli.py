@@ -56,6 +56,12 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
                  ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"],
                  ["--values", "nan"], ["--values", "0,inf"],
                  ["--snr-db", "nan", "--axis", "L", "--values", "16"],
+                 # N0 overflows, underflows or leaves the E-step in overflow
+                 ["--scheme", "GENIE_CUIF", "--values", "4000",
+                  "--slots", "1"],
+                 ["--values=-4000"], ["--values=-3100"],
+                 ["--values", "1000.5"],
+                 ["--snr-db", "-1001", "--axis", "L", "--values", "16"],
                  ["--seed", "-1"], ["reproduce", "--seed", "-1"],
                  ["--scheme", "CAMF", "--values", "6", "--slots", "2",
                   "--epsilon", "nan"], ["--epsilon", "inf"],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambc import montecarlo
-from ambc.analysis import LinkBudget, ber_cuif_closed
+from ambc.analysis import LinkBudget, ber_cuif_closed, ber_unknown_symbols
 from ambc.config import EmConfig, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
                              trend_verdict)
@@ -39,7 +39,7 @@ def test_em_scheme_needs_a_data_bit_after_the_pilot():
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(L=st.integers(1, 12), P=st.integers(1, 6), M=st.integers(1, 6),
-       alpha_sq=st.floats(0.0, 1.0), snr_db=st.floats(-20.0, 40.0),
+       alpha_sq=st.floats(0.0, 1.0), snr_db=st.floats(-1e4, 1e4),
        scheme=st.sampled_from(Scheme), n_iter=st.integers(1, 3))
 def test_every_accepted_point_runs(L, P, M, alpha_sq, snr_db, scheme, n_iter):
     try:
@@ -51,10 +51,14 @@ def test_every_accepted_point_runs(L, P, M, alpha_sq, snr_db, scheme, n_iter):
     errors, bits = run_slot(params, 0)
     assert bits > 0
     assert 0 <= errors <= bits
+    budget = LinkBudget.from_sim(params)
+    assert 0.0 <= ber_cuif_closed(budget) <= 0.5
+    assert 0.0 <= ber_unknown_symbols(budget) <= 0.5
 
 
 def test_simparams_rejects_non_finite_snr_and_negative_seed():
-    for snr_db in (float("nan"), float("inf"), float("-inf")):
+    for snr_db in (float("nan"), float("inf"), float("-inf"), 1000.5,
+                   -1000.5, 3100.0, -3100.0, 4000.0, -4000.0):
         with pytest.raises(ValueError):
             SimParams(snr_db=snr_db)
         with pytest.raises(ValueError):
@@ -62,6 +66,8 @@ def test_simparams_rejects_non_finite_snr_and_negative_seed():
     with pytest.raises(ValueError):
         SimParams(seed=-1)
     assert SimParams(seed=0, snr_db=-30.0).seed == 0
+    for edge in (-1000.0, 1000.0):
+        assert 0.0 < SimParams(snr_db=edge).n0 < np.inf
 
 
 def test_emconfig_rejects_non_finite_or_non_positive_epsilon():

@@ -409,8 +409,7 @@ class TestGenie:
         s_hat = genie_detect(slot, real.H, frame, real, Scheme.GENIE_CUIF)
         ber = np.mean(s_hat != s)
         from ambc.analysis import ber_cuif_conditional
-        from ambc.config import E_X
-        expected = ber_cuif_conditional(real.G, real.beta, E_X, params.n0)
+        expected = ber_cuif_conditional(real.G, real.beta, params.n0)
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(ber - expected) < 3 * se + 1e-12
 
