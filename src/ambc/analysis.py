@@ -1,5 +1,9 @@
 """Closed-form and semi-analytic BER expressions for the genie-aided
 detectors, used as oracles and reference curves for the Monte Carlo runs.
+
+scipy is imported inside the functions that use it: loading scipy.stats
+and scipy.special takes about a second, which a Monte Carlo run that
+evaluates no closed form should not pay at `import ambc`.
 """
 
 from __future__ import annotations
@@ -7,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.stats import binom
 
 from .config import E_X, SimParams
 
@@ -44,6 +46,7 @@ class LinkBudget:
 
 def q_function(x):
     """Upper-tail standard normal probability."""
+    from scipy import special
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -62,6 +65,7 @@ def ber_camf_conditional(G: np.ndarray, beta_tilde: complex,
 
 def _ber_mrc(branch: float, P: int) -> float:
     """BER of P-branch maximal-ratio combining at per-branch SNR branch."""
+    from scipy import special
     mu = np.sqrt(branch / (1.0 + branch))
     # log-space binomials keep L up to 256 (and large P) stable
     p_idx = np.arange(P)
@@ -86,6 +90,7 @@ def ber_unknown_symbols(budget: LinkBudget) -> float:
     a binomial k; the result is the binomial mixture of the closed form at
     each k (k = 0 contributes a coin flip).
     """
+    from scipy.stats import binom
     # unit total tap power on both links
     gamma_h = 1.0 / (E_X / budget.gamma_x + budget.beta_sq * E_X)
     p_ber = 0.5 * (1.0 - np.sqrt(gamma_h / (1.0 + gamma_h)))

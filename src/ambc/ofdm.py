@@ -56,14 +56,29 @@ def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
     return _POINTS[idx]
 
 
+def sign_index(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Quadrant index Re_neg + 256 Im_neg of each entry of a C-ordered
+    complex array z, for sign_point; a zero component counts as positive.
+    The (Re, Im) sign flags go to out, a bool array of z's shape plus a
+    trailing 2, when given; the index is a view of them.
+    """
+    negative = np.less(z[..., None].view(np.float64), 0, out=out)
+    # each (Re z < 0, Im z < 0) flag pair, read as one little-endian
+    # 16-bit integer, is Re_neg + 256 Im_neg
+    return negative.view("<u2")[..., 0]
+
+
+def sign_point(index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The 4-QAM point of each quadrant index from sign_index, written
+    into out when given."""
+    # with out=, take's default mode="raise" copies through a temporary
+    return _POINT_BY_SIGNS.take(index, out=out, mode="clip")
+
+
 def detect_grid(z: np.ndarray) -> np.ndarray:
     """4-QAM ML decisions from matched-filter outputs z = conj(g) y of any
     shape: the point x minimizing |y - g x|^2 is sgn Re(z) + j sgn Im(z),
     ties (z on an axis, including a zero gain g) going to +1 like argmin's
     first point.
     """
-    z = np.asarray(z, dtype=complex, order="C")
-    negative = z[..., None].view(np.float64) < 0
-    # each (Re z < 0, Im z < 0) flag pair, read as one little-endian
-    # 16-bit integer, is Re_neg + 256 Im_neg
-    return _POINT_BY_SIGNS.take(negative.view("<u2")[..., 0])
+    return sign_point(sign_index(np.asarray(z, dtype=complex, order="C")))

@@ -5,13 +5,14 @@ threshold calibration.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .config import E_X, EmConfig, Scheme
-from .ofdm import detect_grid
+from .ofdm import sign_index, sign_point
 
 _HYPOTHESES = np.array([-1.0, 1.0])
 # Half-width of the uniform error on the rough phase estimate that seeds EM.
@@ -20,6 +21,11 @@ _INITIAL_PHASE_ERROR_BOUND = np.pi / 4
 # common-phase constrained mode; the run with the highest final
 # log-likelihood wins. The unconstrained mode always runs one descent.
 _START_OFFSETS = (0.0, -0.5, 0.5)
+# em_run's E-step buffers (em_e_step's out) for the last (L, M) it saw,
+# one pair per thread, sized for every restart: iterations and slots of one
+# shape reuse their pages instead of allocating, and page-faulting, fresh
+# grids each time.
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
     return ReceivedSlot(y=H[:, None] * frame + backscatter + n, N0=N0)
 
 
-def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray):
+def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
+              out: tuple[np.ndarray, np.ndarray] | None = None):
     """Bit posteriors (..., M, 2) for s in (-1, +1), per-hypothesis hard
     symbol decisions (..., L, M, 2), and the slot log-likelihood (...)
     under the channel estimate v_tilde (..., L).
@@ -59,15 +66,22 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray):
     the residual energy is |y - g x|^2 = |y|^2 - 2(|Re z| + |Im z|)
     + E_X |g|^2, scaled by -1/N0, without forming the residual.
     Posteriors use a max-subtracted softmax.
+
+    The pass works in a complex (..., 2, L, M) grid and a bool
+    (..., 2, L, M, 2) grid of sign flags: fresh ones, or the C-ordered pair
+    out. With out, the returned decisions are a view of its complex grid
+    and stay valid only until that grid is written again.
     """
     y = slot.y
     gain = H + v_tilde[..., None, :] * _HYPOTHESES[:, None]
+    grid, flags = (None, None) if out is None else out
     # C order, so that each entry's (Re, Im) pair is adjacent in memory
-    z = np.multiply(np.conj(gain)[..., None], y, order="C")
-    xhat = detect_grid(z)
+    z = np.multiply(np.conj(gain)[..., None], y, out=grid, order="C")
+    index = sign_index(z, out=flags)
     # sum_l |Re z| and sum_l |Im z| from one pass over the (Re, Im) pairs;
-    # z is not needed after this, so the absolute values overwrite it
+    # the absolute values overwrite z, and the decisions overwrite those
     parts = np.abs(z.view(np.float64), out=z.view(np.float64)).sum(axis=-2)
+    xhat = sign_point(index, out=z)
     match = parts[..., 0::2] + parts[..., 1::2]
     gain_energy = E_X * (gain.real ** 2 + gain.imag ** 2).sum(axis=-1)
     y_energy = (y.real ** 2 + y.imag ** 2).sum(axis=-2)
@@ -140,8 +154,15 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
     stops when its update moves less than epsilon or after n_iter_max
     iterations; its estimate, posteriors, iteration count and
     log-likelihood are then set aside and the rest continue without it.
+    The E-steps work in _workspace's buffers, the live restarts in a
+    leading slice.
     """
-    L = H.shape[0]
+    L, M = slot.y.shape
+    if getattr(_workspace, "shape", None) != (L, M):
+        grid = (len(_START_OFFSETS), 2, L, M)
+        _workspace.shape = (L, M)
+        _workspace.buffers = (np.empty(grid, dtype=complex),
+                              np.empty(grid + (2,), dtype=bool))
     bound = _INITIAL_PHASE_ERROR_BOUND
     theta0 = realization.theta + rng.uniform(-bound, bound)
     offsets = np.array(_START_OFFSETS if mode is Scheme.CAMF else (0.0,))
@@ -155,7 +176,9 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
     live = np.arange(offsets.size)
     iteration = 0
     while live.size:
-        posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
+        posteriors, xhat, loglik = em_e_step(
+            slot, H, v_tilde,
+            out=tuple(buffer[:live.size] for buffer in _workspace.buffers))
         nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
         if mode is Scheme.CAMF:
             nu = project_common_phase(nu)

@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ambc
 from ambc import cli
 from ambc.config import Scheme
 
@@ -195,3 +199,40 @@ def test_reproduce_only_subset_runs(tmp_path):
     assert [r["value"] for r in rows if r["scheme"] == "CAMF"] == [
         "1.0", "2.0", "4.0", "8.0"]
     assert {r["P"] for r in rows} == {"1", "2", "4", "8"}
+
+
+# Run in a fresh interpreter: import ambc, run the CLI on argv, and print
+# the exit status and the scipy modules loaded after each step.
+SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import ambc
+from ambc import cli
+after_import = scipy_modules()
+rc = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([after_import, rc, scipy_modules()]))
+"""
+
+
+def run_fresh(tmp_path, argv):
+    env = dict(os.environ)
+    src = str(Path(ambc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_monte_carlo_run_does_not_import_scipy(tmp_path):
+    # scipy only serves the closed forms; it loads on their first use
+    argv = ["--scheme", "GENIE_CUIF", "--values", "0", "--slots", "2",
+            "--out", str(tmp_path / "g.csv")]
+    after_import, rc, after_run = run_fresh(tmp_path, argv)
+    assert (after_import, rc, after_run) == ([], 0, [])
+    after_import, rc, after_run = run_fresh(tmp_path, argv + ["--analytic"])
+    assert (after_import, rc) == ([], 0)
+    assert "scipy.stats" in after_run

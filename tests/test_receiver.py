@@ -1,10 +1,12 @@
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from ambc import bd, channel, receiver
+from ambc import bd, channel, ofdm, receiver
 from ambc.config import EmConfig, Scheme, SimParams
 from ambc.ofdm import gen_frame, qam4
 from ambc.receiver import (em_e_step, em_m_step_unconstrained, em_run,
@@ -182,6 +184,25 @@ class TestEStep:
         assert np.allclose(got[0], want[0], rtol=0, atol=1e-12)
         assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
+    def test_decisions_match_detect_grid(self):
+        # v_tilde = H makes the s = -1 gain exactly zero, so every z on that
+        # hypothesis is zero and its decisions take the tie rule: 1 + 1j
+        _, real, _, _, slot, _ = make_slot(27)
+        v = np.stack([real.H, real.beta_tilde * real.V])
+        _, xhat, _ = em_e_step(slot, real.H, v)
+        gain = real.H + v[:, None, :] * np.array([-1.0, 1.0])[:, None]
+        z = np.conj(gain)[..., None] * slot.y
+        assert np.array_equal(xhat, np.moveaxis(ofdm.detect_grid(z), -3, -1))
+        assert np.all(xhat[0, ..., 0] == 1 + 1j)
+
+    def test_decisions_outlive_the_next_call(self):
+        _, real, _, _, slot, _ = make_slot(28)
+        _, first, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
+        kept = first.copy()
+        _, second, _ = em_e_step(slot, real.H, np.full(32, -0.1 + 0.3j))
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
+
     def test_posteriors_normalized(self):
         _, real, _, _, slot, _ = make_slot(5)
         posteriors, _, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
@@ -334,6 +355,47 @@ class TestEmRun:
             assert result.iterations_used == runs[winner][2]
             assert result.converged == runs[winner][3]
         assert staggered >= 1 and ties == 1
+
+    def test_workspace_reused_across_shapes(self):
+        # The E-step buffers are replaced when the slot shape changes,
+        # sliced as restarts retire and reused by the next slot of a shape
+        loose = EmConfig(n_iter_max=20, epsilon=1e-6)
+        for seed, scheme, L in ((30, Scheme.CAMF, 16), (33, Scheme.CUIF, 32),
+                                (31, Scheme.CAMF, 16)):
+            params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
+            result = em_run(slot, real.H, loose, scheme, real,
+                            np.random.default_rng(seed))
+            runs, winner, s_hat, v_hat = serial_em_run(
+                slot, real.H, loose, scheme, real,
+                np.random.default_rng(seed))
+            assert np.array_equal(result.s_hat, s_hat)
+            assert np.array_equal(result.v_tilde_hat, v_hat)
+            assert result.iterations_used == runs[winner][2]
+
+    def test_threads_keep_their_own_workspace(self):
+        # threads deciding slots of one shape at once must not write into
+        # each other's E-step buffers
+        seeds = range(40, 44)
+        slots = [make_slot(seed) for seed in seeds]
+
+        def decide(case, seed):
+            _, real, _, _, slot, _ = case
+            result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real,
+                            np.random.default_rng(seed))
+            return result.s_hat, result.v_tilde_hat
+
+        want = [decide(case, seed) for case, seed in zip(slots, seeds)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(10):
+                    got = pool.map(decide, slots, seeds, timeout=60)
+                    for (s_hat, v_hat), (s_want, v_want) in zip(got, want):
+                        assert np.array_equal(s_hat, s_want)
+                        assert np.array_equal(v_hat, v_want)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_decodes_noiseless_slot(self):
         params, real, frame, bits, _, rng = make_slot(12)
