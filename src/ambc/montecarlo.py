@@ -7,8 +7,9 @@ completion order.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -20,6 +21,11 @@ from .ofdm import gen_frame
 
 _ENERGY_CAL_SYMBOLS = 64
 _ENERGY_GRID_SIZE = 101
+# One process pool per worker count, made by the first sweep that asks for
+# it and reused by every later one; concurrent.futures joins its idle
+# workers when the interpreter exits.
+_pools: dict[int, ProcessPoolExecutor] = {}
+_pools_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -130,34 +136,59 @@ def _point_counts(args) -> tuple[int, int]:
     return errors, total
 
 
+def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
+    """Run jobs on the cached pool of n_workers processes.
+
+    A pool that breaks (a worker died) is dropped for good, and the jobs
+    run once more on a fresh pool: a job's slots are deterministic, and
+    none of its counts has been used yet.
+    """
+    with _pools_lock:
+        pool = _pools.get(n_workers)
+        if pool is None:
+            pool = _pools[n_workers] = ProcessPoolExecutor(
+                max_workers=n_workers)
+    try:
+        return list(pool.map(_point_counts, jobs))
+    except BrokenProcessPool:
+        with _pools_lock:
+            if _pools.get(n_workers) is pool:
+                del _pools[n_workers]
+        if not retry:
+            raise
+    return _pool_counts(jobs, n_workers, retry=False)
+
+
 def sweep(params: SimParams, axis: str, values,
           n_workers: int = 1) -> BerCurve:
     """BER at each axis value; deterministic given params.seed.
 
-    With n_workers > 1 one process pool serves every point, and each point's
-    slots are split into one contiguous chunk per worker.
+    With n_workers > 1 each point's slots are split into one contiguous
+    chunk per worker and run on a process pool kept for that worker count:
+    its workers start on the first such sweep and live until the
+    interpreter exits. They see module state as of their fork, so a change
+    made to a module later (a monkeypatch, say) does not reach them. The
+    counts are the same for every n_workers.
     """
     values = sorted(values)
     if not values:
         raise ValueError("empty sweep values")
     point_params = [params.at(axis, value) for value in values]
     points = []
-    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
-          else nullcontext()) as pool:
-        for axis_index, (value, p) in enumerate(zip(values, point_params)):
-            start = perf_counter()
-            if pool is not None:
-                chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
-                jobs = [(p, axis_index, int(lo), int(hi))
-                        for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
-                results = list(pool.map(_point_counts, jobs))
-                errors = sum(r[0] for r in results)
-                total = sum(r[1] for r in results)
-            else:
-                errors, total = _point_counts((p, axis_index, 0, p.slots))
-            runtime_ms = (perf_counter() - start) * 1e3
-            points.append(BerPoint.from_counts(float(value), errors, total,
-                                               runtime_ms))
+    for axis_index, (value, p) in enumerate(zip(values, point_params)):
+        start = perf_counter()
+        if n_workers > 1:
+            chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
+            jobs = [(p, axis_index, int(lo), int(hi))
+                    for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
+            results = _pool_counts(jobs, n_workers)
+            errors = sum(r[0] for r in results)
+            total = sum(r[1] for r in results)
+        else:
+            errors, total = _point_counts((p, axis_index, 0, p.slots))
+        runtime_ms = (perf_counter() - start) * 1e3
+        points.append(BerPoint.from_counts(float(value), errors, total,
+                                           runtime_ms))
     return BerCurve(axis_name=axis, points=tuple(points),
                     params_snapshot=params)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +31,23 @@ _workspace = threading.local()
 
 @dataclass(frozen=True)
 class ReceivedSlot:
-    """Frequency-domain received grid y (L x M) and the noise level N0."""
+    """Frequency-domain received grid y (L x M) and the noise level N0.
+
+    y is read-only once received: the E-step and the M-step read its
+    per-symbol energy and its conjugate from caches filled on first use.
+    """
 
     y: np.ndarray
     N0: float
+
+    @cached_property
+    def y_energy(self) -> np.ndarray:
+        """sum_l |y_lm|^2, per symbol (M,)."""
+        return (self.y.real ** 2 + self.y.imag ** 2).sum(axis=-2)
+
+    @cached_property
+    def y_conj(self) -> np.ndarray:
+        return np.conj(self.y)
 
 
 @dataclass(frozen=True)
@@ -46,11 +60,18 @@ class DetectionResult:
 
 def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
             N0: float, rng: np.random.Generator) -> ReceivedSlot:
-    """y = H x + a + n with i.i.d. CSCG noise of variance N0 per entry."""
-    noise_scale = np.sqrt(N0 / 2.0)
-    n = noise_scale * (rng.standard_normal(frame.shape)
-                       + 1j * rng.standard_normal(frame.shape))
-    return ReceivedSlot(y=H[:, None] * frame + backscatter + n, N0=N0)
+    """y = H x + a + n with i.i.d. CSCG noise of variance N0 per entry.
+
+    The noise is one (2, L, M) draw, real parts first, built into y in
+    place.
+    """
+    noise = rng.standard_normal((2,) + frame.shape)
+    noise *= np.sqrt(N0 / 2.0)
+    y = np.multiply(H[:, None], frame, dtype=complex)
+    y += backscatter
+    y.real += noise[0]
+    y.imag += noise[1]
+    return ReceivedSlot(y=y, N0=N0)
 
 
 def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
@@ -72,11 +93,10 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
     out. With out, the returned decisions are a view of its complex grid
     and stay valid only until that grid is written again.
     """
-    y = slot.y
     gain = H + v_tilde[..., None, :] * _HYPOTHESES[:, None]
     grid, flags = (None, None) if out is None else out
     # C order, so that each entry's (Re, Im) pair is adjacent in memory
-    z = np.multiply(np.conj(gain)[..., None], y, out=grid, order="C")
+    z = np.multiply(np.conj(gain)[..., None], slot.y, out=grid, order="C")
     index = sign_index(z, out=flags)
     # sum_l |Re z| and sum_l |Im z| from one pass over the (Re, Im) pairs;
     # the absolute values overwrite z, and the decisions overwrite those
@@ -84,8 +104,7 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
     xhat = sign_point(index, out=z)
     match = parts[..., 0::2] + parts[..., 1::2]
     gain_energy = E_X * (gain.real ** 2 + gain.imag ** 2).sum(axis=-1)
-    y_energy = (y.real ** 2 + y.imag ** 2).sum(axis=-2)
-    ell = (2.0 * match - gain_energy[..., None] - y_energy) / slot.N0
+    ell = (2.0 * match - gain_energy[..., None] - slot.y_energy) / slot.N0
     peak = ell.max(axis=-2)
     w = np.exp(ell - peak[..., None, :])
     total = w.sum(axis=-2)
@@ -110,8 +129,7 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     """
     w = posteriors * _HYPOTHESES
     # conj(sum p s xhat conj(y)) = sum p s conj(xhat) y, since p s is real
-    corr = np.conj(np.einsum("...lms,lm,...ms->...l", xhat, np.conj(slot.y),
-                             w))
+    corr = np.conj(np.einsum("...lms,lm,...ms->...l", xhat, slot.y_conj, w))
     num = corr - E_X * H * w.sum(axis=(-2, -1))[..., None]
     den = E_X * posteriors.sum(axis=(-2, -1))
     if np.any(den == 0):

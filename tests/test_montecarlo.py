@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,7 +215,21 @@ def test_sweep_worker_count_invariant():
         assert (p1.bit_errors, p1.total_bits) == (p2.bit_errors, p2.total_bits)
 
 
-def test_sweep_starts_one_pool_for_all_points(monkeypatch):
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """An empty pool cache for one test; its pools are shut down after it."""
+    pools = {}
+    monkeypatch.setattr(montecarlo, "_pools", pools)
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+def counts(curve):
+    return [(p.bit_errors, p.total_bits) for p in curve.points]
+
+
+def test_sweep_starts_one_pool_for_all_points(fresh_pools, monkeypatch):
     started = []
 
     class CountingPool(montecarlo.ProcessPoolExecutor):
@@ -220,12 +240,42 @@ def test_sweep_starts_one_pool_for_all_points(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     params = SimParams(scheme=Scheme.GENIE_CUIF, slots=5, seed=9)
     values = [0.0, 2.0, 4.0]
-    many = sweep(params, "snr_db", values, n_workers=2)
-    assert started == [{"max_workers": 2}]
-    one = sweep(params, "snr_db", values, n_workers=1)
-    assert len(started) == 1
-    assert [(p.bit_errors, p.total_bits) for p in one.points] == [
-        (p.bit_errors, p.total_bits) for p in many.points]
+    serial = counts(sweep(params, "snr_db", values, n_workers=1))
+    assert started == []
+    for n_workers in (2, 2, 3):
+        assert counts(sweep(params, "snr_db", values,
+                            n_workers=n_workers)) == serial
+    # the second 2-worker sweep reuses the first one's pool
+    assert started == [{"max_workers": 2}, {"max_workers": 3}]
+    assert sorted(fresh_pools) == [2, 3]
+
+
+def test_broken_pool_is_replaced(fresh_pools):
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=6, seed=10)
+    values = [0.0, 4.0]
+    serial = counts(sweep(params, "snr_db", values))
+    assert counts(sweep(params, "snr_db", values, n_workers=2)) == serial
+    pool = fresh_pools[2]
+    worker = next(iter(pool._processes.values()))
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert counts(sweep(params, "snr_db", values, n_workers=2)) == serial
+    assert fresh_pools[2] is not pool
+
+
+def test_interpreter_exits_after_parallel_sweep(tmp_path):
+    # the cached pool's workers must not keep the interpreter from exiting
+    code = ("import ambc\n"
+            "params = ambc.SimParams(scheme=ambc.Scheme.GENIE_CUIF, slots=4)\n"
+            "ambc.sweep(params, 'snr_db', [0.0, 4.0], n_workers=2)\n")
+    env = dict(os.environ)
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_curve_requires_sorted_points():

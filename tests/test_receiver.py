@@ -132,6 +132,48 @@ class TestReceive:
         se = n0 / np.sqrt(power.size)  # |n|^2 is exponential, std = N0
         assert abs(power.mean() - n0) < 3 * se
 
+    def test_matches_two_draw_oracle(self):
+        # the noise used to be two standard_normal draws of the frame's
+        # shape, summed out of place; the single (2, L, M) draw built into
+        # y in place must give the same bits and leave the stream where
+        # the two draws did
+        def oracle(H, frame, a, n0, rng):
+            noise_scale = np.sqrt(n0 / 2.0)
+            n = noise_scale * (rng.standard_normal(frame.shape)
+                               + 1j * rng.standard_normal(frame.shape))
+            return H[:, None] * frame + a + n
+
+        for seed in range(5):
+            for L, M, n0 in ((1, 1, 0.5), (4, 7, 0.0), (32, 100, 0.37),
+                             (128, 3, 1e3)):
+                draw = np.random.default_rng(seed)
+                H = draw.standard_normal(L) + 1j * draw.standard_normal(L)
+                frame = gen_frame(L, M, draw)
+                a = 0.3 * gen_frame(L, M, draw)
+                ours, theirs = (np.random.default_rng(seed + 100)
+                                for _ in range(2))
+                y = receive(H, frame, a, n0, ours).y
+                expected = oracle(H, frame, a, n0, theirs)
+                assert np.array_equal(y.view(np.uint64),
+                                      expected.view(np.uint64))
+                assert ours.random() == theirs.random()
+            # real inputs still give a complex grid
+            H = np.ones(3)
+            frame = draw.choice([-1.0, 1.0], size=(3, 2))
+            y = receive(H, frame, frame, 0.2, np.random.default_rng(seed)).y
+            expected = oracle(H, frame, frame, 0.2,
+                              np.random.default_rng(seed))
+            assert np.array_equal(y.view(np.uint64), expected.view(np.uint64))
+
+    def test_cached_energy_and_conjugate(self):
+        slot = make_slot(3)[-2]
+        y = slot.y
+        assert np.array_equal(slot.y_energy,
+                              (y.real ** 2 + y.imag ** 2).sum(axis=0))
+        assert np.array_equal(slot.y_conj, np.conj(y))
+        assert slot.y_energy is slot.y_energy
+        assert slot.y_conj is slot.y_conj
+
 
 class TestEStep:
     def test_zero_estimate_gives_uniform_posteriors(self):
