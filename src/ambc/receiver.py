@@ -33,8 +33,9 @@ _workspace = threading.local()
 class ReceivedSlot:
     """Frequency-domain received grid y (L x M) and the noise level N0.
 
-    y is read-only once received: the E-step and the M-step read its
-    per-symbol energy and its conjugate from caches filled on first use.
+    y must not be written once the slot is made: the E-step and the M-step
+    read its per-symbol energy and its conjugate from caches filled on
+    first use.
     """
 
     y: np.ndarray
