@@ -177,8 +177,7 @@ def write_results(results, spec: RunSpec) -> list[Path]:
             fh.write(f"# {SCHEMA_VERSION}\n")
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer.writerows(rows)
     else:
         with open(out, "w") as fh:
             json.dump({"schema": SCHEMA_VERSION, "rows": rows}, fh, indent=1)
@@ -189,12 +188,6 @@ def write_results(results, spec: RunSpec) -> list[Path]:
         script.write_text(_plot_script(out, spec.fmt))
         written.append(script)
     return written
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _plot_script(data_path: Path, fmt: str) -> str:

@@ -99,7 +99,7 @@ def run_slot(params: SimParams, slot_index: int,
         s_hat = result.s_hat
         start = 1
     else:
-        s_hat = receiver.genie_detect(slot, real.H, frame, real, params.scheme)
+        s_hat = receiver.genie_detect(slot, frame, real, params.scheme)
         start = 0
     errors = int(np.sum(s_hat[start:] != bits[start:]))
     return errors, params.M - start
@@ -116,13 +116,12 @@ def _run_energy_slot(params: SimParams, real, frame,
     cal_frame = gen_frame(params.L, cal_bits.size, rng)
     cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame, cal_bits)
     cal_slot = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
-    cal_energy = np.sum(np.abs(cal_slot.y) ** 2, axis=0)
+    cal_energy = cal_slot.y_energy
     grid = np.linspace(cal_energy.min(), cal_energy.max() + 1e-9,
                        _ENERGY_GRID_SIZE)
     tau = receiver.threshold_sweep(cal_energy, cal_bits, grid)
 
-    energy = np.sum(np.abs(slot.y) ** 2, axis=0)
-    decisions = (energy >= tau).astype(int)
+    decisions = (slot.y_energy >= tau).astype(int)
     return int(np.sum(decisions != bits01)), params.M
 
 
@@ -163,12 +162,12 @@ def sweep(params: SimParams, axis: str, values,
           n_workers: int = 1) -> BerCurve:
     """BER at each axis value; deterministic given params.seed.
 
-    With n_workers > 1 each point's slots are split into one contiguous
-    chunk per worker and run on a process pool kept for that worker count:
-    its workers start on the first such sweep and live until the
-    interpreter exits. They see module state as of their fork, so a change
-    made to a module later (a monkeypatch, say) does not reach them. The
-    counts are the same for every n_workers.
+    Each point's slots are split into one contiguous chunk per worker. One
+    worker runs its chunk in this process; more run theirs on a process
+    pool kept for that worker count: its workers start on the first such
+    sweep and live until the interpreter exits. They see module state as of
+    their fork, so a change made to a module later (a monkeypatch, say)
+    does not reach them. The counts are the same for every n_workers.
     """
     values = sorted(values)
     if not values:
@@ -177,15 +176,12 @@ def sweep(params: SimParams, axis: str, values,
     points = []
     for axis_index, (value, p) in enumerate(zip(values, point_params)):
         start = perf_counter()
-        if n_workers > 1:
-            chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
-            jobs = [(p, axis_index, int(lo), int(hi))
-                    for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
-            results = _pool_counts(jobs, n_workers)
-            errors = sum(r[0] for r in results)
-            total = sum(r[1] for r in results)
-        else:
-            errors, total = _point_counts((p, axis_index, 0, p.slots))
+        chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
+        jobs = [(p, axis_index, int(lo), int(hi))
+                for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
+        results = (map(_point_counts, jobs) if n_workers == 1
+                   else _pool_counts(jobs, n_workers))
+        errors, total = map(sum, zip(*results))
         runtime_ms = (perf_counter() - start) * 1e3
         points.append(BerPoint.from_counts(float(value), errors, total,
                                            runtime_ms))

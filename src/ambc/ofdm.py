@@ -70,15 +70,12 @@ def sign_index(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def sign_point(index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 4-QAM point of each quadrant index from sign_index, written
-    into out when given."""
+    into out when given.
+
+    For matched-filter outputs z = conj(g) y this is the ML decision
+    sgn Re z + j sgn Im z, the point minimizing |y - g x|^2; ties (z on an
+    axis, including a zero gain g) go to 1 + 1j, like argmin's first point.
+    """
     # with out=, take's default mode="raise" copies through a temporary
     return _POINT_BY_SIGNS.take(index, out=out, mode="clip")
 
-
-def detect_grid(z: np.ndarray) -> np.ndarray:
-    """4-QAM ML decisions from matched-filter outputs z = conj(g) y of any
-    shape: the point x minimizing |y - g x|^2 is sgn Re(z) + j sgn Im(z),
-    ties (z on an axis, including a zero gain g) going to +1 like argmin's
-    first point.
-    """
-    return sign_point(sign_index(np.asarray(z, dtype=complex, order="C")))

@@ -224,16 +224,19 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
                            iterations_used=iterations, converged=converged)
 
 
-def genie_detect(slot: ReceivedSlot, H: np.ndarray, frame: np.ndarray,
+def genie_detect(slot: ReceivedSlot, frame: np.ndarray,
                  realization: ChannelRealization,
                  scheme: Scheme) -> np.ndarray:
-    """Coherent per-symbol decisions with known channels and OFDM symbols."""
+    """Coherent per-symbol decisions with known channels and OFDM symbols.
+
+    s_m = +1 where Re sum_l conj(C_l x_lm) (y_lm - H_l x_lm) >= 0: since
+    |x|^2 = E_X, this is |y - (H + C) x|^2 <= |y - (H - C) x|^2, the
+    matched-filter form of em_e_step, with ties going to +1.
+    """
     C = realization.effective_gain(scheme)
-    d = np.empty((slot.y.shape[1], 2))
-    for k, s in enumerate(_HYPOTHESES):
-        resid = slot.y - (H + C * s)[:, None] * frame
-        d[:, k] = np.sum(np.abs(resid) ** 2, axis=0)
-    return np.where(d[:, 1] <= d[:, 0], 1, -1)
+    resid = slot.y - realization.H[:, None] * frame
+    corr = np.conj(C[:, None] * frame) * resid
+    return np.where(corr.real.sum(axis=0) >= 0, 1, -1)
 
 
 def threshold_sweep(energies: np.ndarray, labels: np.ndarray,

@@ -123,6 +123,37 @@ def test_em_counts_pinned():
     assert counts == PINNED_EM_COUNTS
 
 
+# (bit_errors, total_bits) of the EM-free detectors at alpha^2 = 0.1,
+# 6 slots, seed 11, recorded while genie_detect still compared the two
+# residual energies and ENERGY still summed |y|^2 on its own.
+PINNED_BASELINE_COUNTS = {
+    ("GENIE_CUIF", 16, -8.0): (92, 600),
+    ("GENIE_CUIF", 16, 0.0): (25, 600),
+    ("GENIE_CUIF", 32, -8.0): (40, 600),
+    ("GENIE_CUIF", 32, 0.0): (14, 600),
+    ("GENIE_CAMF", 16, -8.0): (54, 600),
+    ("GENIE_CAMF", 16, 0.0): (7, 600),
+    ("GENIE_CAMF", 32, -8.0): (13, 600),
+    ("GENIE_CAMF", 32, 0.0): (5, 600),
+    ("ENERGY", 16, -8.0): (262, 600),
+    ("ENERGY", 16, 0.0): (221, 600),
+    ("ENERGY", 32, -8.0): (242, 600),
+    ("ENERGY", 32, 0.0): (194, 600),
+}
+
+
+def test_baseline_counts_pinned():
+    counts = {}
+    for scheme in (Scheme.GENIE_CUIF, Scheme.GENIE_CAMF, Scheme.ENERGY):
+        for L in (16, 32):
+            params = SimParams(L=L, alpha_sq=0.1, scheme=scheme, slots=6,
+                               seed=11)
+            for pt in sweep(params, "snr_db", [-8.0, 0.0]).points:
+                counts[(scheme.value, L, pt.swept_value)] = (pt.bit_errors,
+                                                             pt.total_bits)
+    assert counts == PINNED_BASELINE_COUNTS
+
+
 def test_run_slot_genie_scores_all_bits():
     params = SimParams(M=40, scheme=Scheme.GENIE_CUIF, seed=1)
     _, total = run_slot(params, 0)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from ambc.ofdm import Constellation, detect_grid, gen_frame, qam4
+from ambc.ofdm import Constellation, gen_frame, qam4, sign_index, sign_point
 
 POINTS = qam4().points
+
+
+def detect_grid(z):
+    """The 4-QAM decisions em_e_step makes from matched-filter outputs
+    z = conj(gain) y of any shape."""
+    return sign_point(sign_index(z))
 
 
 def qam_detect(y, gain):

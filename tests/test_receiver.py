@@ -99,6 +99,17 @@ def residual_m_step(slot, H, posteriors, xhat):
     return num / den
 
 
+def residual_genie_detect(slot, frame, real, scheme):
+    """Reference genie decisions from the residual energy under each
+    hypothesis gain H + C s, ties to +1."""
+    C = real.effective_gain(scheme)
+    d = np.empty((slot.y.shape[1], 2))
+    for k, s in enumerate((-1.0, 1.0)):
+        resid = slot.y - (real.H + C * s)[:, None] * frame
+        d[:, k] = np.sum(np.abs(resid) ** 2, axis=0)
+    return np.where(d[:, 1] <= d[:, 0], 1, -1)
+
+
 def q_objective(slot, H, posteriors, xhat, l):
     def f(v):
         vc = v[0] + 1j * v[1]
@@ -227,14 +238,16 @@ class TestEStep:
         assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
     def test_decisions_match_detect_grid(self):
-        # v_tilde = H makes the s = -1 gain exactly zero, so every z on that
-        # hypothesis is zero and its decisions take the tie rule: 1 + 1j
+        # the decisions are the sign kernel's on z = conj(g) y; v_tilde = H
+        # makes the s = -1 gain exactly zero, so every z on that hypothesis
+        # is zero and its decisions take the tie rule: 1 + 1j
         _, real, _, _, slot, _ = make_slot(27)
         v = np.stack([real.H, real.beta_tilde * real.V])
         _, xhat, _ = em_e_step(slot, real.H, v)
         gain = real.H + v[:, None, :] * np.array([-1.0, 1.0])[:, None]
         z = np.conj(gain)[..., None] * slot.y
-        assert np.array_equal(xhat, np.moveaxis(ofdm.detect_grid(z), -3, -1))
+        grid = ofdm.sign_point(ofdm.sign_index(z))
+        assert np.array_equal(xhat, np.moveaxis(grid, -3, -1))
         assert np.all(xhat[0, ..., 0] == 1 + 1j)
 
     def test_decisions_outlive_the_next_call(self):
@@ -494,12 +507,41 @@ class TestEmRun:
 
 
 class TestGenie:
+    def test_matches_residual_oracle(self):
+        for L in (16, 32, 128):
+            for snr_db in (-8.0, -4.0, 0.0, 6.0, 12.0, 20.0, 30.0):
+                for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
+                    _, real, frame, _, slot, _ = make_slot(
+                        29 + L, snr_db=snr_db, scheme=scheme, L=L)
+                    assert np.array_equal(
+                        genie_detect(slot, frame, real, scheme),
+                        residual_genie_detect(slot, frame, real, scheme)), (
+                        L, snr_db, scheme)
+
+    def test_exact_ties_go_to_plus_one(self):
+        # zero backscatter (alpha = 0) and no noise: y = H x, so both
+        # hypotheses fit exactly in either form
+        L, M = 16, 20
+        rng = np.random.default_rng(30)
+        real = channel.realization_from_parts(
+            rng.standard_normal(4) + 1j * rng.standard_normal(4),
+            rng.standard_normal(4) + 1j * rng.standard_normal(4), L,
+            alpha=0.0, theta=0.9)
+        frame = gen_frame(L, M, rng)
+        slot = receive(real.H, frame, np.zeros((L, M), dtype=complex), 0.0,
+                       rng)
+        assert np.array_equal(slot.y, real.H[:, None] * frame)
+        for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
+            assert np.all(genie_detect(slot, frame, real, scheme) == 1)
+            assert np.all(residual_genie_detect(slot, frame, real,
+                                                scheme) == 1)
+
     def test_noiseless_zero_errors(self):
         params, real, frame, bits, _, rng = make_slot(18)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
             a = bd.backscatter_frame(scheme, real, frame, bits)
             slot = receive(real.H, frame, a, 0.0, rng)
-            s_hat = genie_detect(slot, real.H, frame, real, scheme)
+            s_hat = genie_detect(slot, frame, real, scheme)
             assert np.array_equal(s_hat, bits)
 
     def test_cuif_ber_matches_conditional_formula(self):
@@ -510,7 +552,7 @@ class TestGenie:
         s = bd.sample_bits(n, rng)
         a = bd.backscatter_frame(Scheme.GENIE_CUIF, real, frame, s)
         slot = receive(real.H, frame, a, params.n0, rng)
-        s_hat = genie_detect(slot, real.H, frame, real, Scheme.GENIE_CUIF)
+        s_hat = genie_detect(slot, frame, real, Scheme.GENIE_CUIF)
         ber = np.mean(s_hat != s)
         from ambc.analysis import ber_cuif_conditional
         expected = ber_cuif_conditional(real.G, real.beta, params.n0)
@@ -531,7 +573,7 @@ class TestGenie:
             a = bd.backscatter_frame(scheme, real, frame, s)
             y = real.H[:, None] * frame + a + noise
             slot = receiver.ReceivedSlot(y=y, N0=0.5)
-            s_hat = genie_detect(slot, real.H, frame, real, scheme)
+            s_hat = genie_detect(slot, frame, real, scheme)
             if scheme is Scheme.GENIE_CAMF:
                 first = s_hat
         assert np.array_equal(first, s_hat)
