@@ -38,16 +38,12 @@ class CirProfile:
 class ChannelRealization:
     """One slot's channels and the derived matched-filter quantities."""
 
-    h: np.ndarray            # CIR to the reader
-    g: np.ndarray            # CIR to the tag
-    H: np.ndarray            # length-L frequency response of h
-    G: np.ndarray            # length-L frequency response of g
-    f: complex               # flat tag-to-reader gain, |f| = 1
-    theta: float             # phase of f
+    H: np.ndarray            # length-L frequency response of the CIR h
+    G: np.ndarray            # length-L frequency response of the CIR g
+    theta: float             # phase of the flat gain f = e^{j theta}
     alpha: float             # reflection coefficient (amplitude)
     beta: complex            # alpha * f
-    kappa: float             # sqrt(L) / ||G||
-    beta_tilde: complex      # beta * kappa
+    beta_tilde: complex      # beta * kappa, kappa = sqrt(L) / ||G||
     V: np.ndarray            # |G_l|^2, nonnegative
 
     def effective_gain(self, scheme: Scheme) -> np.ndarray:
@@ -86,14 +82,10 @@ def realization_from_parts(h: np.ndarray, g: np.ndarray, L: int,
     g_norm = np.linalg.norm(G)
     if g_norm == 0:
         raise ValueError("G is identically zero; matched filter undefined")
-    f = np.exp(1j * theta)
-    beta = alpha * f
+    beta = alpha * np.exp(1j * theta)
     kappa = np.sqrt(L) / g_norm
-    return ChannelRealization(
-        h=h, g=g, H=H, G=G, f=f, theta=theta, alpha=alpha,
-        beta=beta, kappa=kappa, beta_tilde=beta * kappa,
-        V=np.abs(G) ** 2,
-    )
+    return ChannelRealization(H=H, G=G, theta=theta, alpha=alpha, beta=beta,
+                              beta_tilde=beta * kappa, V=np.abs(G) ** 2)
 
 
 def sample_realization(params: SimParams,

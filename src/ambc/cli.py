@@ -271,7 +271,12 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"ambc: sweep failed: {exc}", file=sys.stderr)
             return 1
-        for path in write_results(results, spec):
+        try:
+            paths = write_results(results, spec)
+        except OSError as exc:
+            print(f"ambc: cannot write results: {exc}", file=sys.stderr)
+            return 1
+        for path in paths:
             print(path)
     return 0
 

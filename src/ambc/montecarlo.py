@@ -21,6 +21,10 @@ from .ofdm import gen_frame
 
 _ENERGY_CAL_SYMBOLS = 64
 _ENERGY_GRID_SIZE = 101
+# Half-width of the uniform error on the genie phase that seeds EM.
+_INITIAL_PHASE_ERROR_BOUND = np.pi / 4
+# CAMF's start offsets (radians) around that phase; CUIF starts once.
+_START_OFFSETS = (0.0, -0.5, 0.5)
 # One process pool per worker count, made by the first sweep that asks for
 # it and reused by every later one; concurrent.futures joins its idle
 # workers when the interpreter exits.
@@ -94,8 +98,9 @@ def run_slot(params: SimParams, slot_index: int,
     slot = receiver.receive(real.H, frame, a, params.n0, rng)
 
     if pilot:
+        starts = _em_starts(real, params.scheme, rng)
         result = receiver.em_run(slot, real.H, params.em, params.scheme,
-                                 real, rng)
+                                 starts)
         s_hat = result.s_hat
         start = 1
     else:
@@ -103,6 +108,21 @@ def run_slot(params: SimParams, slot_index: int,
         start = 0
     errors = int(np.sum(s_hat[start:] != bits[start:]))
     return errors, params.M - start
+
+
+def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
+               rng: np.random.Generator) -> np.ndarray:
+    """EM's starting estimates (R, L), a genie stand-in for a pilot-based
+    estimator: alpha e^{j(theta_hat + offset)} on every subcarrier, where
+    theta_hat is the true phase plus a uniform error, the slot's last draw.
+    CAMF's projection ties all subcarriers to one phase and can lock onto a
+    rotated local optimum, so CAMF starts from each of _START_OFFSETS.
+    """
+    bound = _INITIAL_PHASE_ERROR_BOUND
+    theta0 = real.theta + rng.uniform(-bound, bound)
+    offsets = np.array(_START_OFFSETS if scheme is Scheme.CAMF else (0.0,))
+    return np.repeat(real.alpha * np.exp(1j * (theta0 + offsets))[:, None],
+                     real.H.size, axis=1)
 
 
 def _run_energy_slot(params: SimParams, real, frame,

@@ -16,16 +16,10 @@ from .config import E_X, EmConfig, Scheme
 from .ofdm import sign_index, sign_point
 
 _HYPOTHESES = np.array([-1.0, 1.0])
-# Half-width of the uniform error on the rough phase estimate that seeds EM.
-_INITIAL_PHASE_ERROR_BOUND = np.pi / 4
-# Restart offsets (radians) around the rough phase estimate for the
-# common-phase constrained mode; the run with the highest final
-# log-likelihood wins. The unconstrained mode always runs one descent.
-_START_OFFSETS = (0.0, -0.5, 0.5)
-# em_run's E-step buffers (em_e_step's out) for the last (L, M) it saw,
-# one pair per thread, sized for every restart: iterations and slots of one
-# shape reuse their pages instead of allocating, and page-faulting, fresh
-# grids each time.
+# em_run's E-step buffers (em_e_step's out) for the last (R, 2, L, M) grid
+# it saw, R starts of an L x M slot, one pair per thread: iterations and
+# slots of one shape reuse their pages instead of allocating, and
+# page-faulting, fresh grids each time.
 _workspace = threading.local()
 
 
@@ -153,46 +147,31 @@ def project_common_phase(nu: np.ndarray) -> np.ndarray:
 
 
 def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
-           realization: ChannelRealization,
-           rng: np.random.Generator) -> DetectionResult:
-    """EM joint estimation and detection with likelihood-ranked restarts.
+           starts: np.ndarray) -> DetectionResult:
+    """EM joint estimation and detection: one descent from each row of the
+    starting estimates starts (R, L), all run as one batch.
 
-    The rough phase estimate theta_hat is the true flat-link phase plus a
-    uniform draw within _INITIAL_PHASE_ERROR_BOUND (a stand-in for a
-    pilot-based estimator; the realization is used only here). In the
-    common-phase constrained mode each start offset seeds one EM descent
-    from alpha * e^{j(theta_hat + offset)} and the descent with the highest
-    final log-likelihood wins (the first on ties); the projection ties
-    every subcarrier to one scalar phase, so a rough estimate near the edge
-    of its error bound can lock the whole estimate onto a rotated local
-    optimum, and the restarts sweep that scalar ambiguity. The unconstrained
-    mode has no shared phase to get stuck on and runs a single descent.
-    Bit 0 is a known +1 pilot that fixes the global sign.
-
-    The descents run as one batch with estimates stacked (R, L). A descent
-    stops when its update moves less than epsilon or after n_iter_max
-    iterations; its estimate, posteriors, iteration count and
-    log-likelihood are then set aside and the rest continue without it.
-    The E-steps work in _workspace's buffers, the live restarts in a
-    leading slice.
+    The common-phase constrained mode (CAMF) projects every M-step estimate
+    with project_common_phase. A descent stops when its update moves less
+    than epsilon or after n_iter_max iterations; its estimate, posteriors,
+    iteration count and log-likelihood are then set aside and the rest
+    continue without it. The descent whose last E-step had the highest
+    log-likelihood wins (the first on ties): that E-step scores the
+    estimate before the final M-step, not the estimate returned. Bit 0 is a
+    known +1 pilot that fixes the global sign. The E-steps work in
+    _workspace's buffers, the live descents in a leading slice.
     """
-    L, M = slot.y.shape
-    if getattr(_workspace, "shape", None) != (L, M):
-        grid = (len(_START_OFFSETS), 2, L, M)
-        _workspace.shape = (L, M)
+    grid = starts.shape[:1] + (2,) + slot.y.shape
+    if getattr(_workspace, "shape", None) != grid:
+        _workspace.shape = grid
         _workspace.buffers = (np.empty(grid, dtype=complex),
                               np.empty(grid + (2,), dtype=bool))
-    bound = _INITIAL_PHASE_ERROR_BOUND
-    theta0 = realization.theta + rng.uniform(-bound, bound)
-    offsets = np.array(_START_OFFSETS if mode is Scheme.CAMF else (0.0,))
-    v_tilde = np.repeat(
-        realization.alpha * np.exp(1j * (theta0 + offsets))[:, None], L,
-        axis=1)
+    v_tilde = starts
 
-    # per restart, set when it stops: (estimate, posteriors, iterations,
+    # per descent, set when it stops: (estimate, posteriors, iterations,
     # converged, log-likelihood)
-    final = [None] * offsets.size
-    live = np.arange(offsets.size)
+    final = [None] * len(starts)
+    live = np.arange(len(starts))
     iteration = 0
     while live.size:
         posteriors, xhat, loglik = em_e_step(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ambc.bd import backscatter_frame, sample_bits
-from ambc.channel import realization_from_parts, sample_realization
+from ambc.channel import (CirProfile, realization_from_parts, sample_cir,
+                          sample_realization)
 from ambc.config import Scheme, SimParams
 from ambc.ofdm import gen_frame
 
@@ -63,7 +64,8 @@ def test_backscatter_two_route_agreement():
     real, rng = _random_realization(3)
     x = gen_frame(32, 1, rng)
     a = backscatter_frame(Scheme.CAMF, real, x, [-1])
-    direct = (real.beta * real.kappa * real.G * np.conj(real.G)) * x[:, 0] * -1
+    kappa = np.sqrt(32) / np.linalg.norm(real.G)
+    direct = (real.beta * kappa * real.G * np.conj(real.G)) * x[:, 0] * -1
     assert np.allclose(a[:, 0], direct, atol=1e-12)
 
 
@@ -78,9 +80,9 @@ def test_backscatter_flat_channel_reduces_to_cuif():
 
 
 def test_backscatter_zero_reflection():
-    real, rng = _random_realization(5)
-    zero = realization_from_parts(real.h, real.g, 32, alpha=0.0,
-                                  theta=real.theta)
+    rng = np.random.default_rng(5)
+    h, g = sample_cir(CirProfile(4), rng), sample_cir(CirProfile(4), rng)
+    zero = realization_from_parts(h, g, 32, alpha=0.0, theta=0.4)
     x = gen_frame(32, 1, rng)
     assert np.allclose(backscatter_frame(Scheme.CUIF, zero, x, [1]), 0)
 

@@ -63,29 +63,41 @@ def test_flat_g_gives_unit_kappa():
     real = realization_from_parts(np.array([1.0 + 0j]), np.array([1.0 + 0j]),
                                   32, alpha=0.5, theta=1.0)
     assert np.allclose(np.abs(real.G), 1.0)
-    assert np.isclose(real.kappa, 1.0)
+    # kappa = sqrt(L) / ||G|| = 1: the matched filter leaves the gain as is
+    assert np.isclose(real.beta_tilde, real.beta)
+    assert np.allclose(real.effective_gain(Scheme.CAMF),
+                       real.effective_gain(Scheme.CUIF))
 
 
 def test_realization_invariants_sweep():
     params = SimParams()
     rng = np.random.default_rng(11)
+    alpha = np.sqrt(params.alpha_sq)
     for _ in range(10 ** 4):
         real = sample_realization(params, rng)
-        assert abs(real.kappa * np.linalg.norm(real.G)
-                   - np.sqrt(params.L)) < 1e-9
-        assert np.isclose(abs(real.f), 1.0)
+        # |beta_tilde| = alpha kappa with kappa = sqrt(L) / ||G||
+        assert abs(abs(real.beta_tilde) * np.linalg.norm(real.G)
+                   - alpha * np.sqrt(params.L)) < 1e-9
+        assert np.isclose(abs(real.beta), alpha)
         assert np.all(real.V >= 0)
 
 
 def test_derived_fields_consistent():
     params = SimParams()
-    rng = np.random.default_rng(2)
-    real = sample_realization(params, rng)
+    real = sample_realization(params, np.random.default_rng(2))
     assert isinstance(real, ChannelRealization)
-    assert np.allclose(real.H, cir_to_freq(real.h, params.L))
-    assert np.allclose(real.G, cir_to_freq(real.g, params.L))
-    assert np.isclose(real.beta, real.alpha * real.f)
-    assert np.isclose(real.beta_tilde, real.beta * real.kappa)
+    # the same draws, in sample_realization's order
+    rng = np.random.default_rng(2)
+    profile = CirProfile(params.P)
+    h, g = sample_cir(profile, rng), sample_cir(profile, rng)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    alpha = np.sqrt(params.alpha_sq)
+    assert (real.theta, real.alpha) == (theta, alpha)
+    assert np.allclose(real.H, cir_to_freq(h, params.L))
+    assert np.allclose(real.G, cir_to_freq(g, params.L))
+    assert np.isclose(real.beta, alpha * np.exp(1j * theta))
+    kappa = np.sqrt(params.L) / np.linalg.norm(real.G)
+    assert np.isclose(real.beta_tilde, real.beta * kappa)
     assert np.allclose(real.V, np.abs(real.G) ** 2)
     for scheme in Scheme:
         camf = scheme in (Scheme.CAMF, Scheme.GENIE_CAMF)

@@ -201,6 +201,37 @@ def test_reproduce_only_subset_runs(tmp_path):
     assert {r["P"] for r in rows} == {"1", "2", "4", "8"}
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this ambc."""
+    env = dict(os.environ)
+    src = str(Path(ambc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_unwritable_out_is_one_line_error(tmp_path):
+    # a directory as the CSV path, and an existing file as reproduce's
+    # directory: status 1 and one line on stderr, no traceback
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    for argv in (["--scheme", "GENIE_CUIF", "--values", "0", "--slots", "2",
+                  "--out", str(tmp_path)],
+                 ["reproduce", "--only", "paths", "--slots", "1",
+                  "--out", str(existing)]):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ambc import cli; sys.exit(cli.main())", *argv],
+            capture_output=True, text=True, env=fresh_env(), cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("ambc: cannot write results: "), lines
+    assert existing.read_text() == ""
+
+
 # Run in a fresh interpreter: import ambc, run the CLI on argv, and print
 # the exit status and the scipy modules loaded after each step.
 SCIPY_PROBE = """
@@ -216,13 +247,10 @@ print(json.dumps([after_import, rc, scipy_modules()]))
 
 
 def run_fresh(tmp_path, argv):
-    env = dict(os.environ)
-    src = str(Path(ambc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(argv)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        capture_output=True, text=True, env=fresh_env(), cwd=tmp_path,
+        timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

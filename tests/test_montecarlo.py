@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambc import montecarlo
+from ambc import bd, channel, montecarlo, receiver
 from ambc.analysis import LinkBudget, ber_cuif_closed, ber_unknown_symbols
 from ambc.config import EmConfig, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
                              trend_verdict)
+from ambc.ofdm import gen_frame
 
 
 def test_slot_rng_reproducible_and_distinct():
@@ -152,6 +153,39 @@ def test_baseline_counts_pinned():
                 counts[(scheme.value, L, pt.swept_value)] = (pt.bit_errors,
                                                              pt.total_bits)
     assert counts == PINNED_BASELINE_COUNTS
+
+
+def test_run_slot_em_path_is_the_explicit_composition(monkeypatch):
+    # the slot's stream is drawn in the order realization, frame, bits,
+    # noise, EM starts; em_run itself draws nothing
+    em_run, seen = receiver.em_run, []
+
+    def recording_em_run(*args):
+        seen.append((args[-1], em_run(*args)))
+        return seen[-1][1]
+
+    for scheme in (Scheme.CAMF, Scheme.CUIF):
+        params = SimParams(scheme=scheme, snr_db=0.0, seed=3)
+        for slot_index in range(3):
+            rng = slot_rng(params.seed, slot_index)
+            real = channel.sample_realization(params, rng)
+            frame = gen_frame(params.L, params.M, rng)
+            bits = bd.sample_bits(params.M, rng, pilot_first=True)
+            a = bd.backscatter_frame(scheme, real, frame, bits)
+            slot = receiver.receive(real.H, frame, a, params.n0, rng)
+            starts = montecarlo._em_starts(real, scheme, rng)
+            want = em_run(slot, real.H, params.em, scheme, starts)
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo.receiver, "em_run", recording_em_run)
+                errors, total = run_slot(params, slot_index)
+            got_starts, got = seen.pop()
+            assert np.array_equal(got_starts, starts)
+            assert np.array_equal(got.s_hat, want.s_hat)
+            assert np.array_equal(got.v_tilde_hat, want.v_tilde_hat)
+            assert (got.iterations_used, got.converged) == (
+                want.iterations_used, want.converged)
+            assert (errors, total) == (
+                int(np.sum(want.s_hat[1:] != bits[1:])), params.M - 1)
 
 
 def test_run_slot_genie_scores_all_bits():

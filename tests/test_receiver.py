@@ -8,6 +8,7 @@ from scipy import optimize
 
 from ambc import bd, channel, ofdm, receiver
 from ambc.config import EmConfig, Scheme, SimParams
+from ambc.montecarlo import _em_starts
 from ambc.ofdm import gen_frame, qam4
 from ambc.receiver import (em_e_step, em_m_step_unconstrained, em_run,
                            genie_detect, project_common_phase, receive,
@@ -47,18 +48,11 @@ def serial_descent(slot, H, config, mode, v_tilde):
             return v_tilde, posteriors, iteration, converged, loglik
 
 
-def serial_em_run(slot, H, config, mode, real, rng):
-    """Reference for em_run: one serial descent per start offset, the first
-    highest final log-likelihood wins. Returns the per-restart runs, the
+def serial_em_run(slot, H, config, mode, starts):
+    """Reference for em_run: one serial descent per start, the first
+    highest final log-likelihood wins. Returns the per-descent runs, the
     winner's index and the pilot-pinned bits and estimate."""
-    bound = receiver._INITIAL_PHASE_ERROR_BOUND
-    theta0 = real.theta + rng.uniform(-bound, bound)
-    offsets = receiver._START_OFFSETS if mode is Scheme.CAMF else (0.0,)
-    runs = [serial_descent(slot, H, config, mode,
-                           np.full(H.shape[0], real.alpha
-                                   * np.exp(1j * (theta0 + offset)),
-                                   dtype=complex))
-            for offset in offsets]
+    runs = [serial_descent(slot, H, config, mode, start) for start in starts]
     winner = 0
     for k, run in enumerate(runs):
         if run[-1] > runs[winner][-1]:
@@ -397,11 +391,10 @@ class TestEmRun:
         for seed, scheme, snr_db, config in cases:
             params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
                                                     scheme=scheme, L=16)
-            result = em_run(slot, real.H, config, scheme, real,
-                            np.random.default_rng(seed))
+            starts = _em_starts(real, scheme, np.random.default_rng(seed))
+            result = em_run(slot, real.H, config, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, config, scheme, real,
-                np.random.default_rng(seed))
+                slot, real.H, config, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             tied = {run[2] for run in runs if run[-1] == runs[winner][-1]}
             ties += len(tied) > 1
@@ -411,18 +404,32 @@ class TestEmRun:
             assert result.converged == runs[winner][3]
         assert staggered >= 1 and ties == 1
 
+    def test_same_inputs_same_result(self):
+        # em_run draws nothing and leaves its starts as they are
+        for seed, scheme in ((44, Scheme.CAMF), (45, Scheme.CUIF)):
+            _, real, _, _, slot, rng = make_slot(seed, scheme=scheme)
+            starts = _em_starts(real, scheme, rng)
+            kept = starts.copy()
+            first, second = (em_run(slot, real.H, EmConfig(), scheme, starts)
+                             for _ in range(2))
+            assert np.array_equal(starts, kept)
+            assert np.array_equal(first.s_hat, second.s_hat)
+            assert np.array_equal(first.v_tilde_hat, second.v_tilde_hat)
+            assert (first.iterations_used, first.converged) == (
+                second.iterations_used, second.converged)
+
     def test_workspace_reused_across_shapes(self):
-        # The E-step buffers are replaced when the slot shape changes,
-        # sliced as restarts retire and reused by the next slot of a shape
+        # The E-step buffers are replaced when the start count or the slot
+        # shape changes, sliced as descents retire and reused by the next
+        # slot of a shape
         loose = EmConfig(n_iter_max=20, epsilon=1e-6)
-        for seed, scheme, L in ((30, Scheme.CAMF, 16), (33, Scheme.CUIF, 32),
-                                (31, Scheme.CAMF, 16)):
+        for seed, scheme, L in ((30, Scheme.CAMF, 16), (32, Scheme.CUIF, 16),
+                                (33, Scheme.CUIF, 32), (31, Scheme.CAMF, 16)):
             params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
-            result = em_run(slot, real.H, loose, scheme, real,
-                            np.random.default_rng(seed))
+            starts = _em_starts(real, scheme, np.random.default_rng(seed))
+            result = em_run(slot, real.H, loose, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, loose, scheme, real,
-                np.random.default_rng(seed))
+                slot, real.H, loose, scheme, starts)
             assert np.array_equal(result.s_hat, s_hat)
             assert np.array_equal(result.v_tilde_hat, v_hat)
             assert result.iterations_used == runs[winner][2]
@@ -435,8 +442,9 @@ class TestEmRun:
 
         def decide(case, seed):
             _, real, _, _, slot, _ = case
-            result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real,
-                            np.random.default_rng(seed))
+            result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+                            _em_starts(real, Scheme.CAMF,
+                                      np.random.default_rng(seed)))
             return result.s_hat, result.v_tilde_hat
 
         want = [decide(case, seed) for case, seed in zip(slots, seeds)]
@@ -457,12 +465,14 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+                        _em_starts(real, Scheme.CAMF, rng))
         assert np.array_equal(result.s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+                        _em_starts(real, Scheme.CAMF, rng))
         v = result.v_tilde_hat
         nonzero = v[np.abs(v) > 0]
         spread = np.angle(nonzero * np.exp(-1j * np.angle(nonzero.mean())))
@@ -471,7 +481,8 @@ class TestEmRun:
 
     def test_pilot_pins_result(self):
         params, real, _, bits, slot, rng = make_slot(14)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF, real, rng)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+                        _em_starts(real, Scheme.CAMF, rng))
         assert result.s_hat[0] == 1
 
     def test_sign_symmetry_same_slot(self):
@@ -485,7 +496,8 @@ class TestEmRun:
 
     def test_cuif_mode_runs_unconstrained(self):
         params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CUIF, real, rng)
+        result = em_run(slot, real.H, EmConfig(), Scheme.CUIF,
+                        _em_starts(real, Scheme.CUIF, rng))
         # unconstrained estimates generally have distinct phases
         phases = np.angle(result.v_tilde_hat)
         assert np.ptp(phases) > 1e-6
