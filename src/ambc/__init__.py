@@ -7,7 +7,7 @@ receiver, genie and energy-detector baselines, closed-form BER analysis,
 and a deterministic Monte Carlo sweep harness with a CLI.
 """
 
-from .config import E_X, EmConfig, Scheme, SimParams
+from .config import E_X, Scheme, SimParams
 from .channel import (ChannelRealization, CirProfile, cir_to_freq,
                       sample_cir, sample_realization)
 from .ofdm import Constellation, gen_frame, qam4

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, montecarlo
-from .config import SWEEP_AXES, EmConfig, Scheme, SimParams
+from .config import SWEEP_AXES, Scheme, SimParams
 
 SCHEMA_VERSION = "ambc-results-v1"
 CSV_COLUMNS = ["scheme", "axis", "value", "L", "M", "P", "alpha2", "snr_db",
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha2", type=float, default=0.2)
     parser.add_argument("--snr-db", type=float, default=6.0)
     parser.add_argument("--niter", type=int, default=5)
-    parser.add_argument("--epsilon", type=float, default=1e-12)
     parser.add_argument("--slots", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="ambc_results.csv")
@@ -94,10 +93,9 @@ def parse_args(argv) -> RunSpec:
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
-        em = EmConfig(n_iter_max=args.niter, epsilon=args.epsilon)
         params = SimParams(L=args.L, M=args.M, P=args.P, alpha_sq=args.alpha2,
-                           snr_db=args.snr_db, scheme=scheme_objs[0], em=em,
-                           slots=args.slots, seed=args.seed)
+                           snr_db=args.snr_db, scheme=scheme_objs[0],
+                           n_iter=args.niter, slots=args.slots, seed=args.seed)
         for scheme in scheme_objs:
             for value in values:
                 params.with_(scheme=scheme).at(args.axis, value)
@@ -154,7 +152,7 @@ def _rows(results, spec: RunSpec):
                 "P": params.P,
                 "alpha2": params.alpha_sq,
                 "snr_db": params.snr_db,
-                "niter": params.em.n_iter_max,
+                "niter": params.n_iter,
                 "slots": 0 if scheme.startswith("ANALYTIC") else params.slots,
                 "bit_errors": point.bit_errors,
                 "total_bits": point.total_bits,
@@ -162,6 +160,16 @@ def _rows(results, spec: RunSpec):
                 "stderr": point.stderr,
                 "runtime_ms": point.runtime_ms if spec.include_timing else 0.0,
             }
+
+
+def _check_writable(out: Path) -> None:
+    """Raise OSError if ``out`` is a directory or has an ancestor that is
+    not one, so that it cannot be written as a file; creates nothing."""
+    if out.is_dir():
+        raise IsADirectoryError(f"{out} is a directory")
+    for parent in out.parents:
+        if parent.exists() and not parent.is_dir():
+            raise NotADirectoryError(f"{parent} is not a directory")
 
 
 def write_results(results, spec: RunSpec) -> list[Path]:
@@ -265,6 +273,13 @@ def main(argv=None) -> int:
             specs = [parse_args(argv)]
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        # before any sweep, so that a bad path costs no compute
+        for spec in specs:
+            _check_writable(spec.out)
+    except OSError as exc:
+        print(f"ambc: cannot write results: {exc}", file=sys.stderr)
+        return 1
     for spec in specs:
         try:
             results = execute(spec)

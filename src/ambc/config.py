@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 E_X = 2.0  # 4-QAM symbol energy, |x|^2 for x in {+-1 +-j}
@@ -29,21 +28,6 @@ MAX_SNR_DB = 1000.0
 
 
 @dataclass(frozen=True)
-class EmConfig:
-    """Stopping rule of the EM receiver."""
-
-    n_iter_max: int = 5
-    epsilon: float = 1e-12
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, "
-                             f"got {self.epsilon!r}")
-        if self.n_iter_max < 1:
-            raise ValueError("n_iter_max must be >= 1")
-
-
-@dataclass(frozen=True)
 class SimParams:
     """One Monte Carlo operating point."""
 
@@ -53,7 +37,7 @@ class SimParams:
     alpha_sq: float = 0.2
     snr_db: float = 6.0
     scheme: Scheme = Scheme.CAMF
-    em: EmConfig = field(default_factory=EmConfig)
+    n_iter: int = 5              # EM iteration cap
     slots: int = 1000
     seed: int = 0
 
@@ -65,6 +49,8 @@ class SimParams:
         if self.scheme in EM_SCHEMES and self.M < 2:
             raise ValueError(f"{self.scheme.value} spends bit 0 as a pilot "
                              "and needs M >= 2")
+        if self.n_iter < 1:
+            raise ValueError("n_iter must be >= 1")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
         if not (0.0 < self.alpha_sq <= 1.0):
@@ -85,7 +71,7 @@ class SimParams:
 
     def at(self, axis: str, value) -> "SimParams":
         """The operating point a sweep selects by setting ``axis`` to
-        ``value``; ``n_iter`` sets the EM iteration cap."""
+        ``value``."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
         if axis in _INTEGER_AXES:
@@ -94,6 +80,4 @@ class SimParams:
             value = int(value)
         else:
             value = float(value)
-        if axis == "n_iter":
-            return replace(self, em=replace(self.em, n_iter_max=value))
         return replace(self, **{axis: value})

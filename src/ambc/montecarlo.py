@@ -20,7 +20,6 @@ from .config import EM_SCHEMES, Scheme, SimParams
 from .ofdm import gen_frame
 
 _ENERGY_CAL_SYMBOLS = 64
-_ENERGY_GRID_SIZE = 101
 # Half-width of the uniform error on the genie phase that seeds EM.
 _INITIAL_PHASE_ERROR_BOUND = np.pi / 4
 # CAMF's start offsets (radians) around that phase; CUIF starts once.
@@ -99,7 +98,7 @@ def run_slot(params: SimParams, slot_index: int,
 
     if pilot:
         starts = _em_starts(real, params.scheme, rng)
-        result = receiver.em_run(slot, real.H, params.em, params.scheme,
+        result = receiver.em_run(slot, real.H, params.n_iter, params.scheme,
                                  starts)
         s_hat = result.s_hat
         start = 1
@@ -136,10 +135,7 @@ def _run_energy_slot(params: SimParams, real, frame,
     cal_frame = gen_frame(params.L, cal_bits.size, rng)
     cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame, cal_bits)
     cal_slot = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
-    cal_energy = cal_slot.y_energy
-    grid = np.linspace(cal_energy.min(), cal_energy.max() + 1e-9,
-                       _ENERGY_GRID_SIZE)
-    tau = receiver.threshold_sweep(cal_energy, cal_bits, grid)
+    tau = receiver.threshold_sweep(cal_slot.y_energy, cal_bits)
 
     decisions = (slot.y_energy >= tau).astype(int)
     return int(np.sum(decisions != bits01)), params.M

@@ -12,10 +12,13 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import E_X, EmConfig, Scheme
+from .config import E_X, Scheme
 from .ofdm import sign_index, sign_point
 
 _HYPOTHESES = np.array([-1.0, 1.0])
+# em_run's stopping tolerance on sum_l |Delta v_l|^2, the squared norm of
+# an update; absolute and tight, so most descents run to the iteration cap.
+_EPSILON = 1e-12
 # em_run's E-step buffers (em_e_step's out) for the last (R, 2, L, M) grid
 # it saw, R starts of an L x M slot, one pair per thread: iterations and
 # slots of one shape reuse their pages instead of allocating, and
@@ -146,14 +149,14 @@ def project_common_phase(nu: np.ndarray) -> np.ndarray:
     return np.exp(1j * theta_hat) * np.abs(nu)
 
 
-def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
+def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
            starts: np.ndarray) -> DetectionResult:
     """EM joint estimation and detection: one descent from each row of the
     starting estimates starts (R, L), all run as one batch.
 
     The common-phase constrained mode (CAMF) projects every M-step estimate
     with project_common_phase. A descent stops when its update moves less
-    than epsilon or after n_iter_max iterations; its estimate, posteriors,
+    than _EPSILON or after n_iter_max iterations; its estimate, posteriors,
     iteration count and log-likelihood are then set aside and the rest
     continue without it. The descent whose last E-step had the highest
     log-likelihood wins (the first on ties): that E-step scores the
@@ -183,8 +186,8 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, config: EmConfig, mode: Scheme,
         delta = np.sum(np.abs(nu - v_tilde) ** 2, axis=-1)
         v_tilde = nu
         iteration += 1
-        converged = delta < config.epsilon
-        done = converged | (iteration >= config.n_iter_max)
+        converged = delta < _EPSILON
+        done = converged | (iteration >= n_iter_max)
         if done.any():
             for k in np.flatnonzero(done):
                 final[live[k]] = (v_tilde[k], posteriors[k], iteration,
@@ -218,14 +221,13 @@ def genie_detect(slot: ReceivedSlot, frame: np.ndarray,
     return np.where(corr.real.sum(axis=0) >= 0, 1, -1)
 
 
-def threshold_sweep(energies: np.ndarray, labels: np.ndarray,
-                    grid: np.ndarray) -> float:
-    """Grid threshold minimizing empirical error on labeled energies."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty threshold grid")
+def threshold_sweep(energies: np.ndarray, labels: np.ndarray) -> float:
+    """Of 101 thresholds evenly spaced from the lowest energy to just above
+    the highest, the first whose decisions (1 where energy >= threshold)
+    make the fewest errors on the labeled energies. Empty energies raise
+    ValueError."""
     energies = np.asarray(energies, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    decisions = energies[None, :] >= grid[:, None]
-    errors = np.sum(decisions != labels[None, :].astype(bool), axis=1)
-    return float(grid[int(np.argmin(errors))])
+    grid = np.linspace(energies.min(), energies.max() + 1e-9, 101)
+    decisions = energies >= grid[:, None]
+    errors = np.sum(decisions != np.asarray(labels, dtype=bool), axis=1)
+    return float(grid[np.argmin(errors)])

@@ -20,7 +20,7 @@ def test_parse_defaults():
     assert spec.values == tuple(float(v) for v in range(9))
     p = spec.params
     assert (p.L, p.M, p.P, p.alpha_sq, p.snr_db) == (32, 100, 4, 0.2, 6.0)
-    assert p.em.n_iter_max == 5
+    assert p.n_iter == 5
     assert spec.fmt == "csv"
     assert not spec.include_timing
 
@@ -55,7 +55,7 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
         cli.parse_args(["--values", "1,two"])
     with pytest.raises(SystemExit):
         cli.parse_args(["--axis", "L"])  # non-SNR axis needs --values
-    for argv in (["--niter", "0"], ["--epsilon", "0"], ["--workers", "0"],
+    for argv in (["--niter", "0"], ["--workers", "0"],
                  ["--axis", "L", "--values", "16.5"],
                  ["reproduce", "--slots", "0"], ["reproduce", "--workers", "0"],
                  ["--values", "nan"], ["--values", "0,inf"],
@@ -67,13 +67,19 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
                  ["--values", "1000.5"],
                  ["--snr-db", "-1001", "--axis", "L", "--values", "16"],
                  ["--seed", "-1"], ["reproduce", "--seed", "-1"],
-                 ["--scheme", "CAMF", "--values", "6", "--slots", "2",
-                  "--epsilon", "nan"], ["--epsilon", "inf"],
                  ["--scheme", "CUIF", "--scheme", "CAMF", "--M", "1"],
                  # every scheme is checked, not just the first
                  ["--scheme", "GENIE_CUIF", "--scheme", "CAMF", "--M", "1"]):
         # usage errors: exit status 2 through argparse, no traceback
         assert cli.main(argv) == 2, argv
+
+
+def test_epsilon_is_not_an_option(capsys):
+    # the EM stopping tolerance is fixed in the receiver
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--epsilon", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def run_main(tmp_path, extra, name="out.csv"):
@@ -230,6 +236,27 @@ def test_unwritable_out_is_one_line_error(tmp_path):
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("ambc: cannot write results: "), lines
     assert existing.read_text() == ""
+
+
+def test_unwritable_out_fails_before_any_sweep(tmp_path, monkeypatch,
+                                              capsys):
+    # every --out is checked before the first sweep, and nothing is
+    # created or truncated
+    def no_sweep(spec):
+        raise AssertionError("swept before checking --out")
+
+    monkeypatch.setattr(cli, "execute", no_sweep)
+    existing = tmp_path / "taken"
+    existing.write_text("kept")
+    for argv in (["--scheme", "GENIE_CUIF", "--values", "0",
+                  "--out", str(tmp_path)],
+                 ["reproduce", "--out", str(existing)]):
+        assert cli.main(argv) == 1, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("ambc: cannot write results: "), lines
+    assert existing.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 # Run in a fresh interpreter: import ambc, run the CLI on argv, and print

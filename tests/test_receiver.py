@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize
 
 from ambc import bd, channel, ofdm, receiver
-from ambc.config import EmConfig, Scheme, SimParams
+from ambc.config import Scheme, SimParams
 from ambc.montecarlo import _em_starts
 from ambc.ofdm import gen_frame, qam4
 from ambc.receiver import (em_e_step, em_m_step_unconstrained, em_run,
@@ -30,10 +30,11 @@ def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
     return params, real, frame, bits, slot, rng
 
 
-def serial_descent(slot, H, config, mode, v_tilde):
-    """Reference for one EM descent from a fixed start, run alone: the final
-    estimate, the last posteriors, the iteration count, the convergence
-    flag and the last log-likelihood."""
+def serial_descent(slot, H, n_iter_max, mode, v_tilde):
+    """Reference for one EM descent from a fixed start, run alone, with the
+    receiver's stopping tolerance: the final estimate, the last posteriors,
+    the iteration count, the convergence flag and the last
+    log-likelihood."""
     iteration = 0
     while True:
         posteriors, xhat, loglik = em_e_step(slot, H, v_tilde)
@@ -43,16 +44,17 @@ def serial_descent(slot, H, config, mode, v_tilde):
         delta = np.sum(np.abs(nu - v_tilde) ** 2)
         v_tilde = nu
         iteration += 1
-        converged = bool(delta < config.epsilon)
-        if converged or iteration >= config.n_iter_max:
+        converged = bool(delta < receiver._EPSILON)
+        if converged or iteration >= n_iter_max:
             return v_tilde, posteriors, iteration, converged, loglik
 
 
-def serial_em_run(slot, H, config, mode, starts):
+def serial_em_run(slot, H, n_iter_max, mode, starts):
     """Reference for em_run: one serial descent per start, the first
     highest final log-likelihood wins. Returns the per-descent runs, the
     winner's index and the pilot-pinned bits and estimate."""
-    runs = [serial_descent(slot, H, config, mode, start) for start in starts]
+    runs = [serial_descent(slot, H, n_iter_max, mode, start)
+            for start in starts]
     winner = 0
     for k, run in enumerate(runs):
         if run[-1] > runs[winner][-1]:
@@ -371,30 +373,28 @@ class TestEmRun:
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         _, posteriors, iterations, converged, _ = serial_descent(
-            slot, real.H, EmConfig(), Scheme.CAMF, real.beta_tilde * real.V)
+            slot, real.H, 5, Scheme.CAMF, real.beta_tilde * real.V)
         s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
         assert np.array_equal(s_hat, bits)
         assert converged and iterations <= 2
 
     def test_batched_restarts_match_serial_descents(self):
-        # At 20 iterations and a loose epsilon the three restarts converge
-        # at different iterations, so the batch retires them one by one;
-        # seed 43 ends in an exact log-likelihood tie, which the first
-        # restart must win. The default stopping rule runs all restarts to
-        # the iteration cap.
-        loose = EmConfig(n_iter_max=20, epsilon=1e-6)
-        cases = [(30, Scheme.CAMF, 6.0, loose), (31, Scheme.CAMF, 0.0, loose),
-                 (43, Scheme.CAMF, 14.0, loose), (33, Scheme.CUIF, 6.0, loose)]
-        cases += [(seed, Scheme.CAMF, 6.0, EmConfig())
-                  for seed in range(34, 38)]
+        # With a cap of 20 iterations the three restarts of seeds 30, 31
+        # and 43 converge at different iterations, so the batch retires
+        # them one by one; seed 43 ends in an exact log-likelihood tie,
+        # which the first restart must win. At the default cap of 5 all
+        # restarts of seeds 34-37 run to the cap.
+        cases = [(30, Scheme.CAMF, 6.0, 20), (31, Scheme.CAMF, 0.0, 20),
+                 (43, Scheme.CAMF, 14.0, 20), (33, Scheme.CUIF, 6.0, 20)]
+        cases += [(seed, Scheme.CAMF, 6.0, 5) for seed in range(34, 38)]
         staggered = ties = 0
-        for seed, scheme, snr_db, config in cases:
+        for seed, scheme, snr_db, n_iter_max in cases:
             params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
                                                     scheme=scheme, L=16)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run(slot, real.H, config, scheme, starts)
+            result = em_run(slot, real.H, n_iter_max, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, config, scheme, starts)
+                slot, real.H, n_iter_max, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             tied = {run[2] for run in runs if run[-1] == runs[winner][-1]}
             ties += len(tied) > 1
@@ -410,7 +410,7 @@ class TestEmRun:
             _, real, _, _, slot, rng = make_slot(seed, scheme=scheme)
             starts = _em_starts(real, scheme, rng)
             kept = starts.copy()
-            first, second = (em_run(slot, real.H, EmConfig(), scheme, starts)
+            first, second = (em_run(slot, real.H, 5, scheme, starts)
                              for _ in range(2))
             assert np.array_equal(starts, kept)
             assert np.array_equal(first.s_hat, second.s_hat)
@@ -421,18 +421,21 @@ class TestEmRun:
     def test_workspace_reused_across_shapes(self):
         # The E-step buffers are replaced when the start count or the slot
         # shape changes, sliced as descents retire and reused by the next
-        # slot of a shape
-        loose = EmConfig(n_iter_max=20, epsilon=1e-6)
+        # slot of a shape; both CAMF slots retire their restarts at
+        # different iterations within the cap of 20
+        staggered = 0
         for seed, scheme, L in ((30, Scheme.CAMF, 16), (32, Scheme.CUIF, 16),
                                 (33, Scheme.CUIF, 32), (31, Scheme.CAMF, 16)):
             params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run(slot, real.H, loose, scheme, starts)
+            result = em_run(slot, real.H, 20, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, loose, scheme, starts)
+                slot, real.H, 20, scheme, starts)
+            staggered += len({run[2] for run in runs}) > 1
             assert np.array_equal(result.s_hat, s_hat)
             assert np.array_equal(result.v_tilde_hat, v_hat)
             assert result.iterations_used == runs[winner][2]
+        assert staggered == 2
 
     def test_threads_keep_their_own_workspace(self):
         # threads deciding slots of one shape at once must not write into
@@ -442,7 +445,7 @@ class TestEmRun:
 
         def decide(case, seed):
             _, real, _, _, slot, _ = case
-            result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+            result = em_run(slot, real.H, 5, Scheme.CAMF,
                             _em_starts(real, Scheme.CAMF,
                                       np.random.default_rng(seed)))
             return result.s_hat, result.v_tilde_hat
@@ -465,13 +468,13 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+        result = em_run(slot, real.H, 5, Scheme.CAMF,
                         _em_starts(real, Scheme.CAMF, rng))
         assert np.array_equal(result.s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+        result = em_run(slot, real.H, 5, Scheme.CAMF,
                         _em_starts(real, Scheme.CAMF, rng))
         v = result.v_tilde_hat
         nonzero = v[np.abs(v) > 0]
@@ -481,7 +484,7 @@ class TestEmRun:
 
     def test_pilot_pins_result(self):
         params, real, _, bits, slot, rng = make_slot(14)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CAMF,
+        result = em_run(slot, real.H, 5, Scheme.CAMF,
                         _em_starts(real, Scheme.CAMF, rng))
         assert result.s_hat[0] == 1
 
@@ -496,7 +499,7 @@ class TestEmRun:
 
     def test_cuif_mode_runs_unconstrained(self):
         params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        result = em_run(slot, real.H, EmConfig(), Scheme.CUIF,
+        result = em_run(slot, real.H, 5, Scheme.CUIF,
                         _em_starts(real, Scheme.CUIF, rng))
         # unconstrained estimates generally have distinct phases
         phases = np.angle(result.v_tilde_hat)
@@ -591,31 +594,51 @@ class TestGenie:
         assert np.array_equal(first, s_hat)
 
 
+def brute_force_threshold(energies, labels):
+    """Reference threshold: the first threshold, of 101 evenly spaced from
+    the lowest energy to just above the highest, with the fewest errors,
+    each threshold scored on its own."""
+    grid = np.linspace(energies.min(), energies.max() + 1e-9, 101)
+    best, best_errors = None, None
+    for t in grid:
+        errors = sum(int(e >= t) != b for e, b in zip(energies, labels))
+        if best_errors is None or errors < best_errors:
+            best, best_errors = t, errors
+    return float(best)
+
+
 class TestEnergyDetector:
     def test_sweep_separated_classes(self):
         energies = np.array([1.0, 1.1, 5.0, 5.2])
         labels = np.array([0, 0, 1, 1])
-        tau = threshold_sweep(energies, labels, np.linspace(0.5, 6.0, 111))
+        tau = threshold_sweep(energies, labels)
         assert 1.1 < tau <= 5.0
 
-    def test_sweep_single_point_grid(self):
-        tau = threshold_sweep(np.array([1.0, 2.0]), np.array([0, 1]),
-                              np.array([1.7]))
-        assert tau == 1.7
-
     def test_sweep_returns_grid_minimizer(self):
+        # overlapping classes, many tied minimizers, a single energy, and
+        # the calibration energies of real ENERGY slots
         rng = np.random.default_rng(22)
-        energies = np.concatenate([rng.normal(1, 0.5, 100),
-                                   rng.normal(2, 0.5, 100)])
-        labels = np.repeat([0, 1], 100)
-        grid = np.linspace(0, 3, 61)
-        tau = threshold_sweep(energies, labels, grid)
+        cases = [(np.concatenate([rng.normal(1, 0.5, 100),
+                                  rng.normal(2, 0.5, 100)]),
+                  np.repeat([0, 1], 100)),
+                 (np.array([1.0, 1.0, 2.0, 2.0]), np.array([1, 0, 0, 1])),
+                 (np.array([3.0]), np.array([1])),
+                 (np.array([3.0]), np.array([0]))]
+        for seed in range(4):
+            params, real, _, _, _, draw = make_slot(seed,
+                                                    snr_db=4.0 * seed - 4.0)
+            cal_bits = np.tile([0, 1], 32)
+            cal_frame = gen_frame(32, cal_bits.size, draw)
+            cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame,
+                                         cal_bits)
+            cal = receive(real.H, cal_frame, cal_a, params.n0, draw)
+            cases.append((cal.y_energy, cal_bits))
+        for energies, labels in cases:
+            tau = threshold_sweep(energies, labels)
+            want = brute_force_threshold(energies, labels)
+            assert np.float64(tau).view(np.uint64) == np.float64(
+                want).view(np.uint64)
 
-        def err(t):
-            return np.sum((energies >= t).astype(int) != labels)
-
-        assert all(err(tau) <= err(t) for t in grid)
-
-    def test_sweep_empty_grid(self):
+    def test_sweep_rejects_empty_energies(self):
         with pytest.raises(ValueError):
-            threshold_sweep(np.array([1.0]), np.array([1]), np.array([]))
+            threshold_sweep(np.array([]), np.array([], dtype=int))
