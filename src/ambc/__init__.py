@@ -18,7 +18,7 @@ from .receiver import (DetectionResult, ReceivedSlot, em_e_step,
 from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
                        ber_cuif_conditional, ber_unknown_symbols, q_function,
                        theorem1_gap)
-from .montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
-                         trend_verdict)
+from .montecarlo import (BerCurve, BerPoint, draw_slot, run_slot, slot_rng,
+                         sweep, trend_verdict)
 
 __version__ = "0.1.0"

@@ -277,6 +277,8 @@ def main(argv=None) -> int:
         # before any sweep, so that a bad path costs no compute
         for spec in specs:
             _check_writable(spec.out)
+            if spec.emit_plot_script:
+                _check_writable(spec.out.with_suffix(".plot.py"))
     except OSError as exc:
         print(f"ambc: cannot write results: {exc}", file=sys.stderr)
         return 1

@@ -19,11 +19,13 @@ from . import bd, channel, receiver
 from .config import EM_SCHEMES, Scheme, SimParams
 from .ofdm import gen_frame
 
-_ENERGY_CAL_SYMBOLS = 64
+_CAL_BITS = np.tile([0, 1], 32)  # ENERGY's labeled calibration symbols
 # Half-width of the uniform error on the genie phase that seeds EM.
 _INITIAL_PHASE_ERROR_BOUND = np.pi / 4
 # CAMF's start offsets (radians) around that phase; CUIF starts once.
 _START_OFFSETS = (0.0, -0.5, 0.5)
+# Bytes of E-step grid one block of EM slots may fill in _point_counts.
+_BLOCK_BYTES = 640 * 1024
 # One process pool per worker count, made by the first sweep that asks for
 # it and reused by every later one; concurrent.futures joins its idle
 # workers when the interpreter exits.
@@ -77,36 +79,32 @@ def slot_rng(seed: int, slot_index: int,
     return np.random.default_rng(ss)
 
 
-def run_slot(params: SimParams, slot_index: int,
-             axis_index: int = 0) -> tuple[int, int]:
-    """Simulate one slot and count bit errors for the selected detector.
-
-    EM schemes spend the first bit as a pilot, so they are scored on the
-    M - 1 data bits; genie and energy detection score all M bits.
-    """
+def draw_slot(params: SimParams, slot_index: int, axis_index: int = 0,
+              y: np.ndarray | None = None) -> tuple:
+    """Every draw of one slot from its own stream, in this order:
+    realization, frame, bits, noise, then EM's starts (R, L) or ENERGY's
+    calibration frame and noise. Returns (realization, frame, bits, slot,
+    extra), extra being the starts, the calibration slot or None; the
+    received grid is built into y (L, M) when given."""
     rng = slot_rng(params.seed, slot_index, axis_index)
     real = channel.sample_realization(params, rng)
     frame = gen_frame(params.L, params.M, rng)
-
     if params.scheme is Scheme.ENERGY:
-        return _run_energy_slot(params, real, frame, rng)
-
-    pilot = params.scheme in EM_SCHEMES
-    bits = bd.sample_bits(params.M, rng, pilot_first=pilot)
-    a = bd.backscatter_frame(params.scheme, real, frame, bits)
-    slot = receiver.receive(real.H, frame, a, params.n0, rng)
-
-    if pilot:
-        starts = _em_starts(real, params.scheme, rng)
-        result = receiver.em_run(slot, real.H, params.n_iter, params.scheme,
-                                 starts)
-        s_hat = result.s_hat
-        start = 1
+        # on-off keying of the tag's reflection
+        scheme, bits = Scheme.CUIF, rng.integers(0, 2, size=params.M)
     else:
-        s_hat = receiver.genie_detect(slot, frame, real, params.scheme)
-        start = 0
-    errors = int(np.sum(s_hat[start:] != bits[start:]))
-    return errors, params.M - start
+        scheme = params.scheme
+        bits = bd.sample_bits(params.M, rng, pilot_first=scheme in EM_SCHEMES)
+    a = bd.backscatter_frame(scheme, real, frame, bits)
+    slot = receiver.receive(real.H, frame, a, params.n0, rng, out=y)
+    extra = None
+    if params.scheme in EM_SCHEMES:
+        extra = _em_starts(real, params.scheme, rng)
+    elif params.scheme is Scheme.ENERGY:
+        cal_frame = gen_frame(params.L, _CAL_BITS.size, rng)
+        cal_a = bd.backscatter_frame(scheme, real, cal_frame, _CAL_BITS)
+        extra = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
+    return real, frame, bits, slot, extra
 
 
 def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
@@ -124,31 +122,44 @@ def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
                      real.H.size, axis=1)
 
 
-def _run_energy_slot(params: SimParams, real, frame,
-                     rng: np.random.Generator) -> tuple[int, int]:
-    """On-off keying slot with a threshold calibrated on labeled symbols."""
-    bits01 = rng.integers(0, 2, size=params.M)
-    a = bd.backscatter_frame(Scheme.CUIF, real, frame, bits01)
-    slot = receiver.receive(real.H, frame, a, params.n0, rng)
-
-    cal_bits = np.tile([0, 1], _ENERGY_CAL_SYMBOLS // 2)
-    cal_frame = gen_frame(params.L, cal_bits.size, rng)
-    cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame, cal_bits)
-    cal_slot = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
-    tau = receiver.threshold_sweep(cal_slot.y_energy, cal_bits)
-
-    decisions = (slot.y_energy >= tau).astype(int)
-    return int(np.sum(decisions != bits01)), params.M
+def run_slot(params: SimParams, slot_index: int,
+             axis_index: int = 0) -> tuple[int, int]:
+    """Bit errors and scored bits of one slot: a chunk of one slot."""
+    return _point_counts((params, axis_index, slot_index, slot_index + 1))
 
 
 def _point_counts(args) -> tuple[int, int]:
+    """Bit errors and scored bits of the slots lo..hi - 1. Genie and energy
+    detection decide each slot as it is drawn and score all M bits. EM
+    schemes score the M - 1 data bits after the pilot; they draw blocks
+    into one reused (B, L, M) stack of received grids and decide each in
+    one em_run whose E-step grid, (B x R, 2, L, M) complex for R starts a
+    slot, fills at most _BLOCK_BYTES or holds one slot."""
     params, axis_index, lo, hi = args
-    errors = total = 0
-    for slot_index in range(lo, hi):
-        e, t = run_slot(params, slot_index, axis_index)
-        errors += e
-        total += t
-    return errors, total
+    errors = 0
+    if params.scheme not in EM_SCHEMES:
+        for i in range(lo, hi):
+            real, frame, bits, slot, cal = draw_slot(params, i, axis_index)
+            s_hat = (receiver.genie_detect(slot, frame, real, params.scheme)
+                     if cal is None else slot.y_energy
+                     >= receiver.threshold_sweep(cal.y_energy, _CAL_BITS))
+            errors += int(np.sum(s_hat != bits))
+        return errors, (hi - lo) * params.M
+    n_starts = len(_START_OFFSETS) if params.scheme is Scheme.CAMF else 1
+    step = max(1, _BLOCK_BYTES // (n_starts * 2 * params.L * params.M * 16))
+    stack = np.empty((min(step, hi - lo), params.L, params.M), complex)
+    for first in range(lo, hi, step):
+        ys = stack[:min(step, hi - first)]
+        # (realization, bits, starts) of each slot; the frames can go
+        draws = [draw_slot(params, i, axis_index, y)[::2]
+                 for i, y in zip(range(first, hi), ys)]
+        results = receiver.em_run(
+            receiver.ReceivedSlot(ys, params.n0),
+            np.array([real.H for real, _, _ in draws]), params.n_iter,
+            params.scheme, np.array([starts for _, _, starts in draws]))
+        errors += sum(int(np.sum(result.s_hat[1:] != bits[1:]))
+                      for result, (_, bits, _) in zip(results, draws))
+    return errors, (hi - lo) * (params.M - 1)
 
 
 def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
@@ -178,16 +189,18 @@ def sweep(params: SimParams, axis: str, values,
           n_workers: int = 1) -> BerCurve:
     """BER at each axis value; deterministic given params.seed.
 
-    Each point's slots are split into one contiguous chunk per worker. One
-    worker runs its chunk in this process; more run theirs on a process
-    pool kept for that worker count: its workers start on the first such
-    sweep and live until the interpreter exits. They see module state as of
-    their fork, so a change made to a module later (a monkeypatch, say)
-    does not reach them. The counts are the same for every n_workers.
+    Each point's slots are split into one contiguous chunk per worker, and
+    there are no more workers than slots. One worker runs its chunk here;
+    more run theirs on a process pool kept for that worker count: its
+    workers start on the first such sweep and live until the interpreter
+    exits. They see module state as of their fork, so a change made to a
+    module later (a monkeypatch, say) does not reach them. The counts are
+    the same for every n_workers.
     """
     values = sorted(values)
     if not values:
         raise ValueError("empty sweep values")
+    n_workers = min(n_workers, params.slots)
     point_params = [params.at(axis, value) for value in values]
     points = []
     for axis_index, (value, p) in enumerate(zip(values, point_params)):

@@ -5,6 +5,7 @@ threshold calibration.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,10 +20,10 @@ _HYPOTHESES = np.array([-1.0, 1.0])
 # em_run's stopping tolerance on sum_l |Delta v_l|^2, the squared norm of
 # an update; absolute and tight, so most descents run to the iteration cap.
 _EPSILON = 1e-12
-# em_run's E-step buffers (em_e_step's out) for the last (R, 2, L, M) grid
-# it saw, R starts of an L x M slot, one pair per thread: iterations and
-# slots of one shape reuse their pages instead of allocating, and
-# page-faulting, fresh grids each time.
+# em_run's E-step buffers (em_e_step's out), one flat pair per thread sized
+# by capacity: the largest (B, R, 2, L, M) grid, B slots of R starts of
+# L x M, seen so far. Iterations and blocks take a leading slice instead
+# of allocating, and page-faulting, fresh grids each time.
 _workspace = threading.local()
 
 
@@ -57,15 +58,16 @@ class DetectionResult:
 
 
 def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
-            N0: float, rng: np.random.Generator) -> ReceivedSlot:
+            N0: float, rng: np.random.Generator,
+            out: np.ndarray | None = None) -> ReceivedSlot:
     """y = H x + a + n with i.i.d. CSCG noise of variance N0 per entry.
 
     The noise is one (2, L, M) draw, real parts first, built into y in
-    place.
+    place: a fresh grid, or the complex (L, M) array out.
     """
     noise = rng.standard_normal((2,) + frame.shape)
     noise *= np.sqrt(N0 / 2.0)
-    y = np.multiply(H[:, None], frame, dtype=complex)
+    y = np.multiply(H[:, None], frame, out=out, dtype=complex)
     y += backscatter
     y.real += noise[0]
     y.imag += noise[1]
@@ -75,8 +77,8 @@ def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
 def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
               out: tuple[np.ndarray, np.ndarray] | None = None):
     """Bit posteriors (..., M, 2) for s in (-1, +1), per-hypothesis hard
-    symbol decisions (..., L, M, 2), and the slot log-likelihood (...)
-    under the channel estimate v_tilde (..., L).
+    decisions (..., L, M, 2) and log-likelihood (...) under the channel
+    estimate v_tilde (..., L), with y (..., L, M) and H (..., L) broadcast.
 
     Both hypotheses s are evaluated in one (..., 2, L, M) pass from the
     matched-filter output z = conj(g) y under the effective gain
@@ -91,24 +93,26 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
     out. With out, the returned decisions are a view of its complex grid
     and stay valid only until that grid is written again.
     """
-    gain = H + v_tilde[..., None, :] * _HYPOTHESES[:, None]
+    gain = H[..., None, :] + v_tilde[..., None, :] * _HYPOTHESES[:, None]
     grid, flags = (None, None) if out is None else out
     # C order, so that each entry's (Re, Im) pair is adjacent in memory
-    z = np.multiply(np.conj(gain)[..., None], slot.y, out=grid, order="C")
+    z = np.multiply(np.conj(gain)[..., None], slot.y[..., None, :, :],
+                    out=grid, order="C")
     index = sign_index(z, out=flags)
     # sum_l |Re z| and sum_l |Im z| from one pass over the (Re, Im) pairs;
     # the absolute values overwrite z, and the decisions overwrite those
-    parts = np.abs(z.view(np.float64), out=z.view(np.float64)).sum(axis=-2)
+    parts = np.add.reduce(np.abs(z.view(float), out=z.view(float)), -2)
     xhat = sign_point(index, out=z)
     match = parts[..., 0::2] + parts[..., 1::2]
-    gain_energy = E_X * (gain.real ** 2 + gain.imag ** 2).sum(axis=-1)
-    ell = (2.0 * match - gain_energy[..., None] - slot.y_energy) / slot.N0
-    peak = ell.max(axis=-2)
+    gain_energy = E_X * np.add.reduce(gain.real ** 2 + gain.imag ** 2, -1)
+    ell = (2.0 * match - gain_energy[..., None]
+           - slot.y_energy[..., None, :]) / slot.N0
+    peak = np.maximum.reduce(ell, axis=-2)
     w = np.exp(ell - peak[..., None, :])
-    total = w.sum(axis=-2)
-    posteriors = np.swapaxes(w / total[..., None, :], -1, -2)
-    loglik = np.sum(peak + np.log(total), axis=-1)
-    return posteriors, np.moveaxis(xhat, -3, -1), loglik
+    total = np.add.reduce(w, axis=-2)
+    posteriors = (w / total[..., None, :]).swapaxes(-1, -2)
+    loglik = np.add.reduce(peak + np.log(total), axis=-1)
+    return posteriors, xhat.swapaxes(-3, -2).swapaxes(-2, -1), loglik
 
 
 def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
@@ -117,8 +121,8 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     """Per-subcarrier weighted least-squares update of the channel estimate.
 
     Minimizes sum_{m,s} p(s) |y_lm - (H_l + v_l s) xhat_lm(s)|^2 over
-    complex v_l independently for each l. Posteriors (..., M, 2) and
-    decisions (..., L, M, 2) give an estimate (..., L).
+    complex v_l for each l. Posteriors (..., M, 2) and decisions (..., L,
+    M, 2) give an estimate (..., L); y and H broadcast as in em_e_step.
 
     The decisions must be constant-modulus with |xhat|^2 = E_X (4-QAM
     points, as em_e_step returns): the minimizer is then
@@ -127,10 +131,11 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     """
     w = posteriors * _HYPOTHESES
     # conj(sum p s xhat conj(y)) = sum p s conj(xhat) y, since p s is real
-    corr = np.conj(np.einsum("...lms,lm,...ms->...l", xhat, slot.y_conj, w))
-    num = corr - E_X * H * w.sum(axis=(-2, -1))[..., None]
-    den = E_X * posteriors.sum(axis=(-2, -1))
-    if np.any(den == 0):
+    corr = np.conj(np.einsum("...lms,...lm,...ms->...l", xhat, slot.y_conj,
+                             w))
+    num = corr - E_X * H * np.add.reduce(w, axis=(-2, -1))[..., None]
+    den = E_X * np.add.reduce(posteriors, axis=(-2, -1))
+    if (den == 0).any():
         raise ValueError("degenerate M-step: zero symbol energy")
     return num / den[..., None]
 
@@ -144,66 +149,78 @@ def project_common_phase(nu: np.ndarray) -> np.ndarray:
     nu = np.asarray(nu)
     if nu.size == 0:
         raise ValueError("empty vector")
-    mean = nu.mean(axis=-1, keepdims=True)
-    theta_hat = np.where(mean == 0, 0.0, np.angle(mean))
+    mean = np.add.reduce(nu, axis=-1, keepdims=True) / nu.shape[-1]
+    theta_hat = np.where(mean == 0, 0.0, np.arctan2(mean.imag, mean.real))
     return np.exp(1j * theta_hat) * np.abs(nu)
 
 
 def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
-           starts: np.ndarray) -> DetectionResult:
-    """EM joint estimation and detection: one descent from each row of the
-    starting estimates starts (R, L), all run as one batch.
+           starts: np.ndarray) -> tuple[DetectionResult, ...]:
+    """EM joint estimation and detection for a stack of B slots, y (B, L, M)
+    at one noise level N0 with direct channels H (B, L): one descent from
+    each of the R starting estimates per slot in starts (B, R, L), all run
+    as one batch. Returns one DetectionResult per slot.
 
     The common-phase constrained mode (CAMF) projects every M-step estimate
     with project_common_phase. A descent stops when its update moves less
-    than _EPSILON or after n_iter_max iterations; its estimate, posteriors,
-    iteration count and log-likelihood are then set aside and the rest
-    continue without it. The descent whose last E-step had the highest
-    log-likelihood wins (the first on ties): that E-step scores the
-    estimate before the final M-step, not the estimate returned. Bit 0 is a
-    known +1 pilot that fixes the global sign. The E-steps work in
-    _workspace's buffers, the live descents in a leading slice.
+    than _EPSILON or after n_iter_max iterations, and leaves the batch. Per
+    slot, the descent whose last E-step had the highest log-likelihood
+    wins (the first on ties): that E-step scores the estimate before the
+    final M-step, not the estimate returned. Bit 0 is a known +1 pilot that
+    fixes the global sign. The batch is (B, R) until a descent stops, then
+    one axis of live descents with their slots' y gathered. The E-steps use
+    a leading slice of _workspace's buffers, sized by capacity; callers
+    bound B (montecarlo: the (B x R, 2, L, M) grid within _BLOCK_BYTES).
     """
-    grid = starts.shape[:1] + (2,) + slot.y.shape
-    if getattr(_workspace, "shape", None) != grid:
-        _workspace.shape = grid
-        _workspace.buffers = (np.empty(grid, dtype=complex),
-                              np.empty(grid + (2,), dtype=bool))
-    v_tilde = starts
-
-    # per descent, set when it stops: (estimate, posteriors, iterations,
-    # converged, log-likelihood)
-    final = [None] * len(starts)
-    live = np.arange(len(starts))
+    n_starts, L = starts.shape[1:]
+    rows, gains, v_tilde = (ReceivedSlot(slot.y[:, None], slot.N0),
+                            H[:, None], starts)
+    # live descents by flat index b * R + r; per descent, set when it
+    # stops: (estimate, posteriors, iterations, converged, log-likelihood)
+    live = np.arange(starts.size // L)
+    final = [None] * live.size
     iteration = 0
     while live.size:
-        posteriors, xhat, loglik = em_e_step(
-            slot, H, v_tilde,
-            out=tuple(buffer[:live.size] for buffer in _workspace.buffers))
-        nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
-        if mode is Scheme.CAMF:
-            nu = project_common_phase(nu)
-        delta = np.sum(np.abs(nu - v_tilde) ** 2, axis=-1)
-        v_tilde = nu
-        iteration += 1
-        converged = delta < _EPSILON
-        done = converged | (iteration >= n_iter_max)
-        if done.any():
-            for k in np.flatnonzero(done):
-                final[live[k]] = (v_tilde[k], posteriors[k], iteration,
-                                  bool(converged[k]), loglik[k])
-            live, v_tilde = live[~done], v_tilde[~done]
-    # max keeps the first of equal log-likelihoods
-    best = max(final, key=lambda run: run[-1])
-    v_hat, posteriors, iterations, converged, _ = best
-
-    s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
-    if posteriors[0, 1] < 0.5:
-        # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
-        s_hat = -s_hat
-        v_hat = -v_hat
-    return DetectionResult(s_hat=s_hat, v_tilde_hat=v_hat,
-                           iterations_used=iterations, converged=converged)
+        grid = v_tilde.shape[:-1] + (2,) + slot.y.shape[-2:]
+        size = math.prod(grid)
+        if getattr(_workspace, "capacity", 0) < size:
+            _workspace.capacity = size
+            _workspace.buffers = (np.empty(size, dtype=complex),
+                                  np.empty(2 * size, dtype=bool))
+        out = (_workspace.buffers[0][:size].reshape(grid),
+               _workspace.buffers[1][:2 * size].reshape(grid + (2,)))
+        while True:
+            posteriors, xhat, loglik = em_e_step(rows, gains, v_tilde,
+                                                 out=out)
+            nu = em_m_step_unconstrained(rows, gains, posteriors, xhat)
+            if mode is Scheme.CAMF:
+                nu = project_common_phase(nu)
+            delta = np.add.reduce(np.abs(nu - v_tilde) ** 2, -1).ravel()
+            v_tilde = nu
+            iteration += 1
+            converged = delta < _EPSILON
+            done = converged | (iteration >= n_iter_max)
+            if done.any():
+                break
+        v_tilde = v_tilde.reshape(-1, L)
+        posteriors = posteriors.reshape((-1,) + posteriors.shape[-2:])
+        for k in np.flatnonzero(done):
+            final[live[k]] = (v_tilde[k], posteriors[k], iteration,
+                              bool(converged[k]), loglik.flat[k])
+        live, v_tilde = live[~done], v_tilde[~done]
+        rows = ReceivedSlot(slot.y[live // n_starts], slot.N0)
+        gains = H[live // n_starts]
+    results = []
+    for k in range(0, len(final), n_starts):
+        # max keeps the first of equal log-likelihoods
+        v_hat, posteriors, iterations, converged, _ = max(
+            final[k:k + n_starts], key=lambda run: run[-1])
+        s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
+        if posteriors[0, 1] < 0.5:
+            # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
+            s_hat, v_hat = -s_hat, -v_hat
+        results.append(DetectionResult(s_hat, v_hat, iterations, converged))
+    return tuple(results)
 
 
 def genie_detect(slot: ReceivedSlot, frame: np.ndarray,

@@ -259,6 +259,24 @@ def test_unwritable_out_fails_before_any_sweep(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_unwritable_plot_script_fails_before_any_sweep(tmp_path, monkeypatch,
+                                                      capsys):
+    # the plot script beside --out is checked with it
+    def no_sweep(spec):
+        raise AssertionError("swept before checking the plot script path")
+
+    monkeypatch.setattr(cli, "execute", no_sweep)
+    (tmp_path / "pp" / "r.plot.py").mkdir(parents=True)
+    argv = ["--scheme", "GENIE_CUIF", "--values", "0", "--slots", "2",
+            "--emit-plot-script", "--out", str(tmp_path / "pp" / "r.csv")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "r.plot.py" in lines[0], lines
+    assert not (tmp_path / "pp" / "r.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "pp").iterdir()) == [
+        "r.plot.py"]
+
+
 # Run in a fresh interpreter: import ambc, run the CLI on argv, and print
 # the exit status and the scipy modules loaded after each step.
 SCIPY_PROBE = """

@@ -155,12 +155,13 @@ def test_baseline_counts_pinned():
 
 
 def test_run_slot_em_path_is_the_explicit_composition(monkeypatch):
-    # the slot's stream is drawn in the order realization, frame, bits,
-    # noise, EM starts; em_run itself draws nothing
+    # draw_slot draws the slot's stream in the order realization, frame,
+    # bits, noise, EM starts; em_run itself draws nothing, and run_slot
+    # decides its slot as a stack of one
     em_run, seen = receiver.em_run, []
 
     def recording_em_run(*args):
-        seen.append((args[-1], em_run(*args)))
+        seen.append((args, em_run(*args)))
         return seen[-1][1]
 
     for scheme in (Scheme.CAMF, Scheme.CUIF):
@@ -173,18 +174,55 @@ def test_run_slot_em_path_is_the_explicit_composition(monkeypatch):
             a = bd.backscatter_frame(scheme, real, frame, bits)
             slot = receiver.receive(real.H, frame, a, params.n0, rng)
             starts = montecarlo._em_starts(real, scheme, rng)
-            want = em_run(slot, real.H, params.n_iter, scheme, starts)
+            drawn = montecarlo.draw_slot(params, slot_index)
+            assert np.array_equal(drawn[0].H, real.H)
+            for got, want in zip(drawn[1:], (frame, bits, slot.y, starts)):
+                assert np.array_equal(getattr(got, "y", got), want)
+            (want,) = em_run(receiver.ReceivedSlot(y=slot.y[None],
+                                                   N0=params.n0),
+                             real.H[None], params.n_iter, scheme,
+                             starts[None])
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo.receiver, "em_run", recording_em_run)
                 errors, total = run_slot(params, slot_index)
-            got_starts, got = seen.pop()
-            assert np.array_equal(got_starts, starts)
+            (got_slot, got_H, n_iter, got_scheme, got_starts), (got,) = (
+                seen.pop())
+            assert np.array_equal(got_slot.y, slot.y[None])
+            assert np.array_equal(got_H, real.H[None])
+            assert np.array_equal(got_starts, starts[None])
+            assert (got_slot.N0, n_iter, got_scheme) == (
+                params.n0, params.n_iter, scheme)
             assert np.array_equal(got.s_hat, want.s_hat)
             assert np.array_equal(got.v_tilde_hat, want.v_tilde_hat)
             assert (got.iterations_used, got.converged) == (
                 want.iterations_used, want.converged)
             assert (errors, total) == (
                 int(np.sum(want.s_hat[1:] != bits[1:])), params.M - 1)
+
+
+def test_draw_slot_energy_draws_its_calibration_last():
+    # on-off bits, then the calibration frame and its noise after the
+    # slot's own noise
+    params = SimParams(scheme=Scheme.ENERGY, snr_db=4.0, seed=3)
+    rng = slot_rng(params.seed, 2, 1)
+    real = channel.sample_realization(params, rng)
+    frame = gen_frame(params.L, params.M, rng)
+    bits = rng.integers(0, 2, size=params.M)
+    a = bd.backscatter_frame(Scheme.CUIF, real, frame, bits)
+    slot = receiver.receive(real.H, frame, a, params.n0, rng)
+    cal_bits = np.tile([0, 1], 32)
+    cal_frame = gen_frame(params.L, cal_bits.size, rng)
+    cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame, cal_bits)
+    cal = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
+    _, got_frame, got_bits, got_slot, got_cal = montecarlo.draw_slot(
+        params, 2, 1)
+    assert np.array_equal(got_frame, frame)
+    assert np.array_equal(got_bits, bits)
+    assert np.array_equal(got_slot.y, slot.y)
+    assert np.array_equal(got_cal.y, cal.y)
+    tau = receiver.threshold_sweep(cal.y_energy, cal_bits)
+    assert run_slot(params, 2, 1) == (
+        int(np.sum((slot.y_energy >= tau) != bits)), params.M)
 
 
 def test_run_slot_genie_scores_all_bits():
@@ -312,6 +350,31 @@ def test_sweep_starts_one_pool_for_all_points(fresh_pools, monkeypatch):
     # the second 2-worker sweep reuses the first one's pool
     assert started == [{"max_workers": 2}, {"max_workers": 3}]
     assert sorted(fresh_pools) == [2, 3]
+
+
+def test_pool_has_no_more_workers_than_slots(fresh_pools):
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=2, seed=9)
+    serial = counts(sweep(params, "snr_db", [0.0, 4.0]))
+    assert counts(sweep(params, "snr_db", [0.0, 4.0], n_workers=8)) == serial
+    assert sorted(fresh_pools) == [2]
+    assert len(fresh_pools[2]._processes) == 2
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_counts_do_not_depend_on_the_block_budget(monkeypatch, scheme):
+    # a budget below one slot's grid decides slot by slot; a huge one
+    # decides each chunk as one block
+    params = SimParams(L=16, scheme=scheme, slots=7, seed=12, n_iter=20)
+    values = [0.0, 8.0]
+    default = counts(sweep(params, "snr_db", values))
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", budget)
+        assert counts(sweep(params, "snr_db", values)) == default
+    # and run_slot is a block of one slot
+    assert default == [
+        tuple(map(sum, zip(*(run_slot(params.at("snr_db", value), i, k)
+                             for i in range(params.slots)))))
+        for k, value in enumerate(values)]
 
 
 def test_broken_pool_is_replaced(fresh_pools):

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -64,6 +65,13 @@ def serial_em_run(slot, H, n_iter_max, mode, starts):
     if posteriors[0, 1] < 0.5:
         s_hat, v_hat = -s_hat, -v_hat
     return runs, winner, s_hat, v_hat
+
+
+def em_run_one(slot, H, n_iter_max, mode, starts):
+    """em_run on a stack of one slot: H (L,), starts (R, L)."""
+    (result,) = em_run(receiver.ReceivedSlot(y=slot.y[None], N0=slot.N0),
+                       H[None], n_iter_max, mode, starts[None])
+    return result
 
 
 def residual_e_step(slot, H, v_tilde):
@@ -392,7 +400,7 @@ class TestEmRun:
             params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
                                                     scheme=scheme, L=16)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run(slot, real.H, n_iter_max, scheme, starts)
+            result = em_run_one(slot, real.H, n_iter_max, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
                 slot, real.H, n_iter_max, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
@@ -410,7 +418,7 @@ class TestEmRun:
             _, real, _, _, slot, rng = make_slot(seed, scheme=scheme)
             starts = _em_starts(real, scheme, rng)
             kept = starts.copy()
-            first, second = (em_run(slot, real.H, 5, scheme, starts)
+            first, second = (em_run_one(slot, real.H, 5, scheme, starts)
                              for _ in range(2))
             assert np.array_equal(starts, kept)
             assert np.array_equal(first.s_hat, second.s_hat)
@@ -418,24 +426,66 @@ class TestEmRun:
             assert (first.iterations_used, first.converged) == (
                 second.iterations_used, second.converged)
 
-    def test_workspace_reused_across_shapes(self):
-        # The E-step buffers are replaced when the start count or the slot
-        # shape changes, sliced as descents retire and reused by the next
-        # slot of a shape; both CAMF slots retire their restarts at
-        # different iterations within the cap of 20
+    def test_stacked_slots_match_single_slot_calls(self):
+        # One em_run over a stack of slots decides each slot bit for bit as
+        # a stack of one does. With a cap of 20 some slots, and some CAMF
+        # restarts within a slot, stop before others, so the stack runs
+        # both while every descent is live and after some have stopped.
         staggered = 0
-        for seed, scheme, L in ((30, Scheme.CAMF, 16), (32, Scheme.CUIF, 16),
-                                (33, Scheme.CUIF, 32), (31, Scheme.CAMF, 16)):
+        for scheme in (Scheme.CAMF, Scheme.CUIF):
+            for snr_db in (0.0, 6.0, 14.0):
+                seeds = range(50, 56)
+                cases = [make_slot(seed, snr_db=snr_db, scheme=scheme, L=16)
+                         for seed in seeds]
+                n0 = cases[0][0].n0
+                H = np.array([real.H for _, real, *_ in cases])
+                starts = np.array([
+                    _em_starts(real, scheme, np.random.default_rng(seed))
+                    for seed, (_, real, *_) in zip(seeds, cases)])
+                stack = receiver.ReceivedSlot(
+                    y=np.array([case[4].y for case in cases]), N0=n0)
+                for n_iter_max in (1, 5, 20):
+                    stacked = em_run(stack, H, n_iter_max, scheme, starts)
+                    assert len(stacked) == len(cases)
+                    for got, case, h, start in zip(stacked, cases, H, starts):
+                        want = em_run_one(case[4], h, n_iter_max, scheme,
+                                          start)
+                        assert np.array_equal(got.s_hat, want.s_hat)
+                        assert np.array_equal(got.v_tilde_hat,
+                                              want.v_tilde_hat)
+                        assert (got.iterations_used, got.converged) == (
+                            want.iterations_used, want.converged)
+                    staggered += len({r.iterations_used
+                                      for r in stacked}) > 1
+        assert staggered >= 2
+
+    def test_workspace_reused_across_shapes(self, monkeypatch):
+        # The E-step buffers grow only when a grid needs more than their
+        # capacity; a grid of fewer starts or a shorter slot, and the live
+        # descents once some have stopped, take a leading slice. Both CAMF
+        # slots retire their restarts at different iterations within the
+        # cap of 20.
+        monkeypatch.setattr(receiver, "_workspace", threading.local())
+        staggered = 0
+        buffers = []
+        for seed, scheme, L in ((33, Scheme.CUIF, 32), (30, Scheme.CAMF, 16),
+                                (32, Scheme.CUIF, 16), (31, Scheme.CAMF, 16)):
             params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run(slot, real.H, 20, scheme, starts)
+            result = em_run_one(slot, real.H, 20, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
                 slot, real.H, 20, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             assert np.array_equal(result.s_hat, s_hat)
             assert np.array_equal(result.v_tilde_hat, v_hat)
             assert result.iterations_used == runs[winner][2]
+            buffers.append(receiver._workspace.buffers[0])
         assert staggered == 2
+        # (R, 2, L, M) entries: 6400 for CUIF at L = 32, then 9600 for CAMF
+        # at L = 16, which every later slot reuses
+        assert buffers[0].size == 6400
+        assert buffers[1] is buffers[2] is buffers[3]
+        assert buffers[1].size == 9600
 
     def test_threads_keep_their_own_workspace(self):
         # threads deciding slots of one shape at once must not write into
@@ -445,9 +495,9 @@ class TestEmRun:
 
         def decide(case, seed):
             _, real, _, _, slot, _ = case
-            result = em_run(slot, real.H, 5, Scheme.CAMF,
-                            _em_starts(real, Scheme.CAMF,
-                                      np.random.default_rng(seed)))
+            result = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                                _em_starts(real, Scheme.CAMF,
+                                           np.random.default_rng(seed)))
             return result.s_hat, result.v_tilde_hat
 
         want = [decide(case, seed) for case, seed in zip(slots, seeds)]
@@ -468,14 +518,14 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        result = em_run(slot, real.H, 5, Scheme.CAMF,
-                        _em_starts(real, Scheme.CAMF, rng))
+        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                            _em_starts(real, Scheme.CAMF, rng))
         assert np.array_equal(result.s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
-        result = em_run(slot, real.H, 5, Scheme.CAMF,
-                        _em_starts(real, Scheme.CAMF, rng))
+        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                            _em_starts(real, Scheme.CAMF, rng))
         v = result.v_tilde_hat
         nonzero = v[np.abs(v) > 0]
         spread = np.angle(nonzero * np.exp(-1j * np.angle(nonzero.mean())))
@@ -484,8 +534,8 @@ class TestEmRun:
 
     def test_pilot_pins_result(self):
         params, real, _, bits, slot, rng = make_slot(14)
-        result = em_run(slot, real.H, 5, Scheme.CAMF,
-                        _em_starts(real, Scheme.CAMF, rng))
+        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                            _em_starts(real, Scheme.CAMF, rng))
         assert result.s_hat[0] == 1
 
     def test_sign_symmetry_same_slot(self):
@@ -499,8 +549,8 @@ class TestEmRun:
 
     def test_cuif_mode_runs_unconstrained(self):
         params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        result = em_run(slot, real.H, 5, Scheme.CUIF,
-                        _em_starts(real, Scheme.CUIF, rng))
+        result = em_run_one(slot, real.H, 5, Scheme.CUIF,
+                            _em_starts(real, Scheme.CUIF, rng))
         # unconstrained estimates generally have distinct phases
         phases = np.angle(result.v_tilde_hat)
         assert np.ptp(phases) > 1e-6
