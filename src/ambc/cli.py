@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--axis", default="snr_db",
                         choices=SWEEP_AXES)
     parser.add_argument("--values", default=None,
-                        help="comma-separated axis values; default 0..8 dB")
+                        help="comma-separated axis values, default 0..8 dB"
+                             "; write --values=-4,0 if the first is negative")
     parser.add_argument("--L", type=int, default=32)
     parser.add_argument("--M", type=int, default=100)
     parser.add_argument("--P", type=int, default=4)

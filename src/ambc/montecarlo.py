@@ -200,6 +200,8 @@ def sweep(params: SimParams, axis: str, values,
     values = sorted(values)
     if not values:
         raise ValueError("empty sweep values")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     n_workers = min(n_workers, params.slots)
     point_params = [params.at(axis, value) for value in values]
     points = []
@@ -229,10 +231,8 @@ def trend_verdict(curve: BerCurve, n_sigma: float = 3.0) -> str:
     se = curve.stderrs
     if b.size < 2:
         return "flat"
-    signs = 0
-    for i in range(b.size):
-        for j in range(i + 1, b.size):
-            signs += int(np.sign(b[j] - b[i]))
+    # sum over i < j of sign(b[j] - b[i]): the strict lower triangle
+    signs = np.tril(np.sign(np.subtract.outer(b, b)), -1).sum()
     first, last = 0, b.size - 1
     gap = b[last] - b[first]
     pooled = np.hypot(se[first], se[last])

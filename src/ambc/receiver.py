@@ -159,29 +159,34 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
     """EM joint estimation and detection for a stack of B slots, y (B, L, M)
     at one noise level N0 with direct channels H (B, L): one descent from
     each of the R starting estimates per slot in starts (B, R, L), all run
-    as one batch. Returns one DetectionResult per slot.
+    as one batch in one loop of at most n_iter_max >= 1 iterations. Returns
+    one DetectionResult per slot.
 
     The common-phase constrained mode (CAMF) projects every M-step estimate
     with project_common_phase. A descent stops when its update moves less
-    than _EPSILON or after n_iter_max iterations, and leaves the batch. Per
-    slot, the descent whose last E-step had the highest log-likelihood
-    wins (the first on ties): that E-step scores the estimate before the
-    final M-step, not the estimate returned. Bit 0 is a known +1 pilot that
-    fixes the global sign. The batch is (B, R) until a descent stops, then
-    one axis of live descents with their slots' y gathered. The E-steps use
-    a leading slice of _workspace's buffers, sized by capacity; callers
-    bound B (montecarlo: the (B x R, 2, L, M) grid within _BLOCK_BYTES).
+    than _EPSILON or at the cap; its estimate, last posteriors, last E-step
+    log-likelihood, iterations and convergence flag go to (B x R, ...)
+    arrays at index b * R + r. The batch is (B, R) until a descent stops,
+    then one axis of live descents with their slots' y gathered. Per slot,
+    one argmax picks the highest last log-likelihood (the first on ties),
+    which scores the estimate before the final M-step. Bit 0 is a known +1
+    pilot that fixes the global sign. The E-steps use a leading slice of
+    _workspace's buffers; callers bound B (montecarlo: the (B x R, 2, L, M)
+    grid within _BLOCK_BYTES).
     """
-    n_starts, L = starts.shape[1:]
-    rows, gains, v_tilde = (ReceivedSlot(slot.y[:, None], slot.N0),
-                            H[:, None], starts)
-    # live descents by flat index b * R + r; per descent, set when it
-    # stops: (estimate, posteriors, iterations, converged, log-likelihood)
-    live = np.arange(starts.size // L)
-    final = [None] * live.size
-    iteration = 0
-    while live.size:
-        grid = v_tilde.shape[:-1] + (2,) + slot.y.shape[-2:]
+    if n_iter_max < 1:
+        raise ValueError(f"n_iter_max must be >= 1, got {n_iter_max}")
+    n_slots, n_starts, L = starts.shape
+    n, M = n_slots * n_starts, slot.y.shape[-1]
+    v_hats, bit_posteriors = np.empty((n, L), complex), np.empty((n, M, 2))
+    scores, iterations = np.empty(n), np.empty(n, int)
+    converged = np.empty(n, bool)
+    rows, gains, v_tilde, live = (ReceivedSlot(slot.y[:, None], slot.N0),
+                                  H[:, None], starts, np.arange(n))
+    for iteration in range(1, n_iter_max + 1):
+        if not live.size:
+            break
+        grid = v_tilde.shape[:-1] + (2, L, M)
         size = math.prod(grid)
         if getattr(_workspace, "capacity", 0) < size:
             _workspace.capacity = size
@@ -189,38 +194,31 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
                                   np.empty(2 * size, dtype=bool))
         out = (_workspace.buffers[0][:size].reshape(grid),
                _workspace.buffers[1][:2 * size].reshape(grid + (2,)))
-        while True:
-            posteriors, xhat, loglik = em_e_step(rows, gains, v_tilde,
-                                                 out=out)
-            nu = em_m_step_unconstrained(rows, gains, posteriors, xhat)
-            if mode is Scheme.CAMF:
-                nu = project_common_phase(nu)
-            delta = np.add.reduce(np.abs(nu - v_tilde) ** 2, -1).ravel()
-            v_tilde = nu
-            iteration += 1
-            converged = delta < _EPSILON
-            done = converged | (iteration >= n_iter_max)
-            if done.any():
-                break
-        v_tilde = v_tilde.reshape(-1, L)
-        posteriors = posteriors.reshape((-1,) + posteriors.shape[-2:])
-        for k in np.flatnonzero(done):
-            final[live[k]] = (v_tilde[k], posteriors[k], iteration,
-                              bool(converged[k]), loglik.flat[k])
+        posteriors, xhat, loglik = em_e_step(rows, gains, v_tilde, out=out)
+        nu = em_m_step_unconstrained(rows, gains, posteriors, xhat)
+        if mode is Scheme.CAMF:
+            nu = project_common_phase(nu)
+        delta = np.add.reduce(np.abs(nu - v_tilde) ** 2, -1).ravel()
+        v_tilde, settled = nu, delta < _EPSILON
+        done = settled | (iteration == n_iter_max)
+        if not done.any():
+            continue
+        v_tilde, stopped = v_tilde.reshape(-1, L), live[done]
+        v_hats[stopped], converged[stopped] = v_tilde[done], settled[done]
+        bit_posteriors[stopped] = posteriors.reshape(-1, M, 2)[done]
+        scores[stopped], iterations[stopped] = loglik.ravel()[done], iteration
         live, v_tilde = live[~done], v_tilde[~done]
         rows = ReceivedSlot(slot.y[live // n_starts], slot.N0)
         gains = H[live // n_starts]
-    results = []
-    for k in range(0, len(final), n_starts):
-        # max keeps the first of equal log-likelihoods
-        v_hat, posteriors, iterations, converged, _ = max(
-            final[k:k + n_starts], key=lambda run: run[-1])
-        s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
-        if posteriors[0, 1] < 0.5:
-            # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
-            s_hat, v_hat = -s_hat, -v_hat
-        results.append(DetectionResult(s_hat, v_hat, iterations, converged))
-    return tuple(results)
+    # argmax keeps the first of equal log-likelihoods
+    won = np.arange(0, n, n_starts) + scores.reshape(-1, n_starts).argmax(1)
+    p = bit_posteriors[won]
+    s_hat = np.where(p[..., 1] >= p[..., 0], 1, -1)
+    # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
+    flip = p[:, :1, 1] < 0.5
+    return tuple(map(DetectionResult, np.where(flip, -s_hat, s_hat),
+                     np.where(flip, -v_hats[won], v_hats[won]),
+                     iterations[won].tolist(), converged[won].tolist()))
 
 
 def genie_detect(slot: ReceivedSlot, frame: np.ndarray,

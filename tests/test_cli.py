@@ -25,6 +25,12 @@ def test_parse_defaults():
     assert not spec.include_timing
 
 
+def test_parse_negative_values_with_equals():
+    # "--values -4,-2,0" is a usage error, since argparse reads -4,-2,0 as
+    # an option; the = form passes it as the value
+    assert cli.parse_args(["--values=-4,-2,0"]).values == (-4.0, -2.0, 0.0)
+
+
 def test_parse_scheme_and_values():
     spec = cli.parse_args(["--scheme", "GENIE_CUIF", "--axis", "alpha_sq",
                            "--values", "0.1,0.2"])

@@ -360,6 +360,16 @@ def test_pool_has_no_more_workers_than_slots(fresh_pools):
     assert len(fresh_pools[2]._processes) == 2
 
 
+def test_sweep_rejects_fewer_than_one_worker(fresh_pools):
+    # sweep's own error, before any chunk or pool is made
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=4, seed=9)
+    for n_workers in (0, -2):
+        with pytest.raises(ValueError,
+                           match=f"n_workers must be >= 1, got {n_workers}"):
+            sweep(params, "snr_db", [0.0], n_workers=n_workers)
+    assert fresh_pools == {}
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_counts_do_not_depend_on_the_block_budget(monkeypatch, scheme):
     # a budget below one slot's grid decides slot by slot; a huge one
@@ -428,3 +438,31 @@ def test_trend_verdicts():
 
 def test_trend_single_point_flat():
     assert trend_verdict(make_curve([1e-3][:1])) == "flat"
+
+
+def pairwise_verdict(curve, n_sigma):
+    """trend_verdict's rule with the pairwise signs counted pair by pair."""
+    b, se = curve.bers, curve.stderrs
+    if b.size < 2:
+        return "flat"
+    signs = 0
+    for i in range(b.size):
+        for j in range(i + 1, b.size):
+            signs += int(np.sign(b[j] - b[i]))
+    gap, pooled = b[-1] - b[0], np.hypot(se[0], se[-1])
+    if signs < 0 and gap < -n_sigma * pooled:
+        return "decreasing"
+    if signs > 0 and gap > n_sigma * pooled:
+        return "increasing"
+    return "flat"
+
+
+@settings(max_examples=300, deadline=None)
+@given(bers=st.lists(st.sampled_from([0.0, 1e-3, 0.01, 0.1, 0.5])
+                     | st.floats(0.0, 0.5), min_size=1, max_size=9),
+       totals=st.sampled_from([10, 100, 10 ** 6]),
+       n_sigma=st.sampled_from([0.0, 1.0, 3.0]))
+def test_trend_verdict_matches_pairwise_loop(bers, totals, n_sigma):
+    # few distinct values and coarse counts make ties and equal endpoints
+    curve = make_curve(bers, totals)
+    assert trend_verdict(curve, n_sigma) == pairwise_verdict(curve, n_sigma)

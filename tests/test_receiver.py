@@ -431,10 +431,12 @@ class TestEmRun:
         # a stack of one does. With a cap of 20 some slots, and some CAMF
         # restarts within a slot, stop before others, so the stack runs
         # both while every descent is live and after some have stopped.
-        staggered = 0
+        # Seed 43's CAMF restarts at 14 dB end in an exact log-likelihood
+        # tie, which its first restart must win in a stack of seven too.
+        staggered = ties = 0
         for scheme in (Scheme.CAMF, Scheme.CUIF):
             for snr_db in (0.0, 6.0, 14.0):
-                seeds = range(50, 56)
+                seeds = (43, *range(50, 56))
                 cases = [make_slot(seed, snr_db=snr_db, scheme=scheme, L=16)
                          for seed in seeds]
                 n0 = cases[0][0].n0
@@ -455,9 +457,31 @@ class TestEmRun:
                                               want.v_tilde_hat)
                         assert (got.iterations_used, got.converged) == (
                             want.iterations_used, want.converged)
-                    staggered += len({r.iterations_used
-                                      for r in stacked}) > 1
-        assert staggered >= 2
+                    iterations = {r.iterations_used for r in stacked}
+                    staggered += len(iterations) > 1
+                    if (scheme, snr_db, n_iter_max) == (Scheme.CAMF, 14.0,
+                                                        20):
+                        runs, winner, s_hat, v_hat = serial_em_run(
+                            cases[0][4], H[0], n_iter_max, scheme, starts[0])
+                        tied = {run[2] for run in runs
+                                if run[-1] == runs[winner][-1]}
+                        ties += len(tied) > 1 and len(iterations) > 1
+                        assert np.array_equal(stacked[0].s_hat, s_hat)
+                        assert np.array_equal(stacked[0].v_tilde_hat, v_hat)
+                        assert stacked[0].iterations_used == runs[winner][2]
+        assert staggered >= 2 and ties == 1
+
+    def test_empty_stack_and_zero_cap(self):
+        # an empty stack decides no slot; a cap below one iteration would
+        # leave every descent without a result, so it is refused
+        _, real, _, _, slot, rng = make_slot(46)
+        starts = _em_starts(real, Scheme.CAMF, rng)
+        for scheme in (Scheme.CAMF, Scheme.CUIF):
+            empty = receiver.ReceivedSlot(y=slot.y[None][:0], N0=slot.N0)
+            assert em_run(empty, real.H[None][:0], 5, scheme,
+                          starts[None][:0]) == ()
+        with pytest.raises(ValueError, match="n_iter_max must be >= 1"):
+            em_run_one(slot, real.H, 0, Scheme.CAMF, starts)
 
     def test_workspace_reused_across_shapes(self, monkeypatch):
         # The E-step buffers grow only when a grid needs more than their
