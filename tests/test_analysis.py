@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from ambc.analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
                            ber_cuif_conditional, ber_unknown_symbols,
@@ -138,10 +140,55 @@ def test_closed_forms_pinned():
 
 
 def test_link_budget_validation():
-    for kwargs in ({"P": 0}, {"gamma_x": 0.0}, {"alpha_sq": -0.1}):
+    for kwargs in ({"P": 0}, {"gamma_x": 0.0}, {"alpha_sq": -0.1},
+                   {"L": -3}, {"L": 2.5}, {"P": 2.5}, {"L": 2},
+                   {"gamma_x": math.nan}, {"gamma_x": math.inf},
+                   {"alpha_sq": math.nan}, {"alpha_sq": math.inf},
+                   {"gamma_x": 1e308}):
         with pytest.raises(ValueError):
             LinkBudget(**{"L": 32, "P": 4, "alpha_sq": 0.2, "gamma_x": 5.0,
                           **kwargs})
+
+
+def mrc_reference(branch, P):
+    # P-branch MRC BER as a regularized incomplete beta:
+    # sum_p C(P-1+p, p) (1-c)^p c^P = P(Bin(2P-1, c) >= P) = I_c(P, P)
+    mu = np.sqrt(branch / (1.0 + branch))
+    return np.minimum(special.betainc(P, P, (1.0 - mu) / 2.0), 0.5)
+
+
+def mixture_reference(b):
+    gamma_h = 1.0 / (E_X / b.gamma_x + b.beta_sq * E_X)
+    p_ber = 0.5 * (1.0 - np.sqrt(gamma_h / (1.0 + gamma_h)))
+    p_ser = 1.0 - (1.0 - p_ber) ** 2
+    k = np.arange(b.L + 1)
+    ber = mrc_reference(k * b.beta_sq * b.gamma_x * (1.0 / b.P), b.P)
+    ber[0] = 0.5
+    return min(stats.binom.pmf(k, b.L, 1.0 - p_ser) @ ber, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_match_scipy_reference():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 799), [-1e300, 1e300]])
+    got = q_function(x.reshape(3, -1))
+    assert isinstance(got, np.ndarray) and got.shape == (3, 267)
+    ref = 0.5 * special.erfc(x / np.sqrt(2.0))
+    # past x = 37.5 the tail is subnormal, which libm keeps and scipy
+    # flushes to 0: no relative error is defined there
+    np.testing.assert_allclose(got.ravel(), ref, rtol=1e-12,
+                               atol=np.finfo(float).tiny)
+    for L in (1, 2, 16, 128, 1024, 4096):
+        for P in (p for p in (1, 4, 64) if p <= L):
+            for snr in (-1000.0, -40.0, 0.0, 30.0, 300.0, 1000.0):
+                for alpha_sq in (1e-300, 0.2, 1.0):
+                    b = budget_at(snr, L=L, P=P, alpha_sq=alpha_sq)
+                    branch = L * alpha_sq * b.gamma_x * (1.0 / P)
+                    for value, ref in (
+                            (ber_cuif_closed(b), mrc_reference(branch, P)),
+                            (ber_unknown_symbols(b), mixture_reference(b))):
+                        assert math.isfinite(value) and 0.0 <= value <= 0.5
+                        assert value == pytest.approx(float(ref), rel=1e-12,
+                                                      abs=0)
 
 
 def test_unknown_symbols_limits():

@@ -188,7 +188,7 @@ REPRODUCE_PINNED_SHA256 = (
 
 
 def test_reproduce_rows_pinned(tmp_path):
-    # BER columns are left out so a libm or scipy difference cannot fail this
+    # BER columns are left out so a libm difference cannot fail this
     assert cli.main(["reproduce", "--out", str(tmp_path), "--slots", "2",
                      "--seed", "7"]) == 0
     digest = hashlib.sha256()
@@ -307,11 +307,35 @@ def run_fresh(tmp_path, argv):
 
 
 def test_monte_carlo_run_does_not_import_scipy(tmp_path):
-    # scipy only serves the closed forms; it loads on their first use
+    # scipy is only the tests' oracle: no run loads it, closed forms included
     argv = ["--scheme", "GENIE_CUIF", "--values", "0", "--slots", "2",
             "--out", str(tmp_path / "g.csv")]
-    after_import, rc, after_run = run_fresh(tmp_path, argv)
-    assert (after_import, rc, after_run) == ([], 0, [])
-    after_import, rc, after_run = run_fresh(tmp_path, argv + ["--analytic"])
-    assert (after_import, rc) == ([], 0)
-    assert "scipy.stats" in after_run
+    assert run_fresh(tmp_path, argv) == [[], 0, []]
+    assert run_fresh(tmp_path, argv + ["--analytic"]) == [[], 0, []]
+
+
+# Run the CLI in a fresh interpreter where importing scipy fails.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from ambc import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def analytic_rows(out_dir):
+    lines = (out_dir / "sweep_snr.csv").read_text().splitlines()
+    return [line for line in lines if line.startswith("ANALYTIC")]
+
+
+def test_reproduce_runs_without_scipy(tmp_path):
+    argv = ["reproduce", "--only", "snr", "--slots", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, *argv, "--out", str(tmp_path / "a")],
+        capture_output=True, text=True, env=fresh_env(), cwd=tmp_path,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
+    rows = analytic_rows(tmp_path / "b")
+    assert len(rows) == 18
+    assert analytic_rows(tmp_path / "a") == rows
