@@ -12,9 +12,9 @@ from .channel import (ChannelRealization, CirProfile, cir_to_freq,
                       sample_cir, sample_realization)
 from .ofdm import Constellation, gen_frame, qam4
 from .bd import backscatter_frame, sample_bits
-from .receiver import (DetectionResult, ReceivedSlot, em_e_step,
-                       em_m_step_unconstrained, em_run, genie_detect,
-                       project_common_phase, receive, threshold_sweep)
+from .receiver import (ReceivedSlot, em_e_step, em_m_step_unconstrained,
+                       em_run, genie_detect, project_common_phase, receive,
+                       threshold_sweep)
 from .analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
                        ber_cuif_conditional, ber_unknown_symbols, q_function,
                        theorem1_gap)

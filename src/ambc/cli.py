@@ -79,7 +79,7 @@ def parse_args(argv) -> RunSpec:
 
     schemes = args.scheme or ["CAMF", "CUIF"]
     try:
-        scheme_objs = [Scheme(s.upper()) for s in schemes]
+        scheme_objs = list(dict.fromkeys(Scheme(s.upper()) for s in schemes))
     except ValueError:
         parser.error(f"--scheme: unknown scheme in {schemes}")
     if args.values is None:
@@ -260,7 +260,7 @@ def parse_reproduce_args(argv) -> list[RunSpec]:
     # "--out=" keeps an --out value that starts with "-" a value
     return [parse_args(common + REPRODUCE_EXPERIMENTS[name]
                        + [f"--out={Path(args.out) / f'sweep_{name}.csv'}"])
-            for name in args.only or REPRODUCE_EXPERIMENTS]
+            for name in dict.fromkeys(args.only or REPRODUCE_EXPERIMENTS)]
 
 
 def main(argv=None) -> int:

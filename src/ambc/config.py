@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -21,10 +22,16 @@ EM_SCHEMES = (Scheme.CAMF, Scheme.CUIF)
 
 SWEEP_AXES = ("snr_db", "L", "P", "alpha_sq", "n_iter")
 _INTEGER_AXES = ("L", "P", "n_iter")
+_COUNT_FIELDS = ("L", "M", "P", "n_iter", "slots", "seed")
 
 # Bound on |snr_db|; near 3000 dB, N0 = 10^(-snr_db/10) and the receiver's
 # statistics overflow or underflow.
 MAX_SNR_DB = 1000.0
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,10 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.L >= self.P >= 1):
             raise ValueError(f"need L >= P >= 1, got L={self.L}, P={self.P}")
         if self.M < 1:

@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from . import bd, channel, receiver
-from .config import EM_SCHEMES, Scheme, SimParams
+from .config import EM_SCHEMES, Scheme, SimParams, is_integer
 from .ofdm import gen_frame
 
 _CAL_BITS = np.tile([0, 1], 32)  # ENERGY's labeled calibration symbols
@@ -150,15 +150,13 @@ def _point_counts(args) -> tuple[int, int]:
     stack = np.empty((min(step, hi - lo), params.L, params.M), complex)
     for first in range(lo, hi, step):
         ys = stack[:min(step, hi - first)]
-        # (realization, bits, starts) of each slot; the frames can go
-        draws = [draw_slot(params, i, axis_index, y)[::2]
-                 for i, y in zip(range(first, hi), ys)]
-        results = receiver.em_run(
+        reals, _, bits, _, starts = zip(*(draw_slot(params, i, axis_index, y)
+                                          for i, y in enumerate(ys, first)))
+        s_hat = receiver.em_run(
             receiver.ReceivedSlot(ys, params.n0),
-            np.array([real.H for real, _, _ in draws]), params.n_iter,
-            params.scheme, np.array([starts for _, _, starts in draws]))
-        errors += sum(int(np.sum(result.s_hat[1:] != bits[1:]))
-                      for result, (_, bits, _) in zip(results, draws))
+            np.array([real.H for real in reals]), params.n_iter,
+            params.scheme, np.array(starts))[0]
+        errors += int(np.count_nonzero(s_hat[:, 1:] != np.array(bits)[:, 1:]))
     return errors, (hi - lo) * (params.M - 1)
 
 
@@ -200,6 +198,8 @@ def sweep(params: SimParams, axis: str, values,
     values = sorted(values)
     if not values:
         raise ValueError("empty sweep values")
+    if not is_integer(n_workers):
+        raise ValueError(f"n_workers must be an integer, got {n_workers!r}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     n_workers = min(n_workers, params.slots)

@@ -49,14 +49,6 @@ class ReceivedSlot:
         return np.conj(self.y)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    s_hat: np.ndarray
-    v_tilde_hat: np.ndarray
-    iterations_used: int
-    converged: bool
-
-
 def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
             N0: float, rng: np.random.Generator,
             out: np.ndarray | None = None) -> ReceivedSlot:
@@ -141,11 +133,10 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
 
 
 def project_common_phase(nu: np.ndarray) -> np.ndarray:
-    """Project onto common-phase, nonnegative-magnitude diagonals.
-
-    The common phase of each (..., L) row is the angle of its entry mean;
-    magnitudes are kept. A zero mean degenerates to phase 0.
-    """
+    """One common phase per (..., L) row, the angle of its entry mean (0
+    for a zero mean), with each entry's magnitude kept. Not the Euclidean
+    projection onto {e^{j theta} a : a >= 0}: nu = (1, j) maps to
+    e^{j pi/4} (1, 1), at squared distance 1.17; the projection is at 1."""
     nu = np.asarray(nu)
     if nu.size == 0:
         raise ValueError("empty vector")
@@ -155,12 +146,13 @@ def project_common_phase(nu: np.ndarray) -> np.ndarray:
 
 
 def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
-           starts: np.ndarray) -> tuple[DetectionResult, ...]:
+           starts: np.ndarray) -> tuple[np.ndarray, ...]:
     """EM joint estimation and detection for a stack of B slots, y (B, L, M)
     at one noise level N0 with direct channels H (B, L): one descent from
     each of the R starting estimates per slot in starts (B, R, L), all run
     as one batch in one loop of at most n_iter_max >= 1 iterations. Returns
-    one DetectionResult per slot.
+    the winning descents' bits (B, M), estimates (B, L), iteration counts
+    (B,) and convergence flags (B,), as int, complex, int and bool arrays.
 
     The common-phase constrained mode (CAMF) projects every M-step estimate
     with project_common_phase. A descent stops when its update moves less
@@ -216,9 +208,9 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
     s_hat = np.where(p[..., 1] >= p[..., 0], 1, -1)
     # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
     flip = p[:, :1, 1] < 0.5
-    return tuple(map(DetectionResult, np.where(flip, -s_hat, s_hat),
-                     np.where(flip, -v_hats[won], v_hats[won]),
-                     iterations[won].tolist(), converged[won].tolist()))
+    return (np.where(flip, -s_hat, s_hat),
+            np.where(flip, -v_hats[won], v_hats[won]), iterations[won],
+            converged[won])
 
 
 def genie_detect(slot: ReceivedSlot, frame: np.ndarray,

@@ -38,6 +38,11 @@ def test_parse_scheme_and_values():
     assert spec.axis == "alpha_sq"
     assert spec.values == (0.1, 0.2)
     assert spec.params.scheme is Scheme.GENIE_CUIF
+    # a repeated scheme, compared after upper-casing, runs once, where it
+    # first appears
+    spec = cli.parse_args(["--scheme", "CAMF", "--scheme", "genie_cuif",
+                           "--scheme", "camf", "--scheme", "GENIE_CUIF"])
+    assert spec.schemes == ("CAMF", "GENIE_CUIF")
 
 
 def test_parse_analytic_overlays():
@@ -178,6 +183,11 @@ def test_reproduce_parser_builds_all_experiments(tmp_path):
         assert (p.slots, p.seed, spec.workers) == (5, 0, 1)
     [dashed] = cli.parse_reproduce_args(["--out=-x", "--only", "paths"])
     assert dashed.out == Path("-x") / "sweep_paths.csv"
+    # a repeated --only runs once, where it first appears
+    specs = cli.parse_reproduce_args(["--only", "paths", "--only", "snr",
+                                      "--only", "paths"])
+    assert [spec.out.name for spec in specs] == ["sweep_paths.csv",
+                                                 "sweep_snr.csv"]
 
 
 # sha256 of the count-and-parameter columns of `reproduce --slots 2 --seed 7`
@@ -200,11 +210,12 @@ def test_reproduce_rows_pinned(tmp_path):
     assert digest.hexdigest() == REPRODUCE_PINNED_SHA256
 
 
-def test_reproduce_only_subset_runs(tmp_path):
+def test_reproduce_only_subset_runs(tmp_path, capsys):
     rc = cli.main(["reproduce", "--out", str(tmp_path), "--slots", "2",
-                   "--only", "paths"])
+                   "--only", "paths", "--only", "paths"])
     assert rc == 0
     out = tmp_path / "sweep_paths.csv"
+    assert capsys.readouterr().out.splitlines() == [str(out)]
     lines = out.read_text().splitlines()
     rows = list(csv.DictReader(lines[1:]))
     assert sorted({r["scheme"] for r in rows}) == ["CAMF", "CUIF"]

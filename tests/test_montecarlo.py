@@ -178,26 +178,25 @@ def test_run_slot_em_path_is_the_explicit_composition(monkeypatch):
             assert np.array_equal(drawn[0].H, real.H)
             for got, want in zip(drawn[1:], (frame, bits, slot.y, starts)):
                 assert np.array_equal(getattr(got, "y", got), want)
-            (want,) = em_run(receiver.ReceivedSlot(y=slot.y[None],
-                                                   N0=params.n0),
-                             real.H[None], params.n_iter, scheme,
-                             starts[None])
+            want = em_run(receiver.ReceivedSlot(y=slot.y[None],
+                                                N0=params.n0),
+                          real.H[None], params.n_iter, scheme, starts[None])
+            assert all(len(output) == 1 for output in want)
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo.receiver, "em_run", recording_em_run)
                 errors, total = run_slot(params, slot_index)
-            (got_slot, got_H, n_iter, got_scheme, got_starts), (got,) = (
+            (got_slot, got_H, n_iter, got_scheme, got_starts), got = (
                 seen.pop())
             assert np.array_equal(got_slot.y, slot.y[None])
             assert np.array_equal(got_H, real.H[None])
             assert np.array_equal(got_starts, starts[None])
             assert (got_slot.N0, n_iter, got_scheme) == (
                 params.n0, params.n_iter, scheme)
-            assert np.array_equal(got.s_hat, want.s_hat)
-            assert np.array_equal(got.v_tilde_hat, want.v_tilde_hat)
-            assert (got.iterations_used, got.converged) == (
-                want.iterations_used, want.converged)
+            # s_hat, v_hat, iterations and converged
+            for got_output, want_output in zip(got, want, strict=True):
+                assert np.array_equal(got_output, want_output)
             assert (errors, total) == (
-                int(np.sum(want.s_hat[1:] != bits[1:])), params.M - 1)
+                int(np.sum(want[0][0, 1:] != bits[1:])), params.M - 1)
 
 
 def test_draw_slot_energy_draws_its_calibration_last():
@@ -301,6 +300,24 @@ def test_at_maps_axes_and_rejects_non_integral_values():
         params.at("bogus", 1.0)
     with pytest.raises(ValueError):
         sweep(params.with_(scheme=Scheme.GENIE_CUIF, slots=1), "L", [16.5])
+    # counts are integers: a float or a bool is refused by name, where the
+    # sweep would raise TypeError or (slots=2.5) run 2 slots
+    for field, value in (("M", 2.5), ("L", 32.0), ("P", 4.0),
+                         ("n_iter", 2.5), ("seed", 1.5), ("M", True),
+                         ("P", True), ("slots", 2.5),
+                         ("slots", np.float64(2.0)), ("seed", np.bool_(True))):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, got"):
+            SimParams(**{"slots": 2, field: value})
+    # numpy integers run, as Python ints do
+    numpy_counts = SimParams(L=np.int64(16), M=np.int32(10), P=np.int16(2),
+                             n_iter=np.int64(2), slots=np.int64(2),
+                             seed=np.uint8(3))
+    python_counts = SimParams(L=16, M=10, P=2, n_iter=2, slots=2, seed=3)
+    for scheme in (Scheme.CAMF, Scheme.GENIE_CUIF):
+        assert counts(sweep(numpy_counts.with_(scheme=scheme), "snr_db",
+                            [0.0])) == counts(
+            sweep(python_counts.with_(scheme=scheme), "snr_db", [0.0]))
 
 
 def test_sweep_n_iter_axis():
@@ -366,6 +383,10 @@ def test_sweep_rejects_fewer_than_one_worker(fresh_pools):
     for n_workers in (0, -2):
         with pytest.raises(ValueError,
                            match=f"n_workers must be >= 1, got {n_workers}"):
+            sweep(params, "snr_db", [0.0], n_workers=n_workers)
+    for n_workers in (2.0, 1.5, True):
+        with pytest.raises(ValueError,
+                           match="n_workers must be an integer, got"):
             sweep(params, "snr_db", [0.0], n_workers=n_workers)
     assert fresh_pools == {}
 

@@ -68,10 +68,12 @@ def serial_em_run(slot, H, n_iter_max, mode, starts):
 
 
 def em_run_one(slot, H, n_iter_max, mode, starts):
-    """em_run on a stack of one slot: H (L,), starts (R, L)."""
-    (result,) = em_run(receiver.ReceivedSlot(y=slot.y[None], N0=slot.N0),
-                       H[None], n_iter_max, mode, starts[None])
-    return result
+    """em_run on a stack of one slot: H (L,), starts (R, L). Returns the
+    slot's row of each array: (s_hat, v_hat, iterations, converged)."""
+    outputs = em_run(receiver.ReceivedSlot(y=slot.y[None], N0=slot.N0),
+                     H[None], n_iter_max, mode, starts[None])
+    assert all(len(output) == 1 for output in outputs)
+    return tuple(output[0] for output in outputs)
 
 
 def residual_e_step(slot, H, v_tilde):
@@ -400,16 +402,17 @@ class TestEmRun:
             params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
                                                     scheme=scheme, L=16)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run_one(slot, real.H, n_iter_max, scheme, starts)
+            got_s, got_v, iterations, converged = em_run_one(
+                slot, real.H, n_iter_max, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
                 slot, real.H, n_iter_max, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             tied = {run[2] for run in runs if run[-1] == runs[winner][-1]}
             ties += len(tied) > 1
-            assert np.array_equal(result.s_hat, s_hat)
-            assert np.array_equal(result.v_tilde_hat, v_hat)
-            assert result.iterations_used == runs[winner][2]
-            assert result.converged == runs[winner][3]
+            assert np.array_equal(got_s, s_hat)
+            assert np.array_equal(got_v, v_hat)
+            assert iterations == runs[winner][2]
+            assert converged == runs[winner][3]
         assert staggered >= 1 and ties == 1
 
     def test_same_inputs_same_result(self):
@@ -421,10 +424,9 @@ class TestEmRun:
             first, second = (em_run_one(slot, real.H, 5, scheme, starts)
                              for _ in range(2))
             assert np.array_equal(starts, kept)
-            assert np.array_equal(first.s_hat, second.s_hat)
-            assert np.array_equal(first.v_tilde_hat, second.v_tilde_hat)
-            assert (first.iterations_used, first.converged) == (
-                second.iterations_used, second.converged)
+            # s_hat, v_hat, iterations and converged
+            for got, want in zip(first, second, strict=True):
+                assert np.array_equal(got, want)
 
     def test_stacked_slots_match_single_slot_calls(self):
         # One em_run over a stack of slots decides each slot bit for bit as
@@ -448,16 +450,17 @@ class TestEmRun:
                     y=np.array([case[4].y for case in cases]), N0=n0)
                 for n_iter_max in (1, 5, 20):
                     stacked = em_run(stack, H, n_iter_max, scheme, starts)
-                    assert len(stacked) == len(cases)
-                    for got, case, h, start in zip(stacked, cases, H, starts):
+                    assert all(len(output) == len(cases)
+                               for output in stacked)
+                    for k, (case, h, start) in enumerate(zip(cases, H,
+                                                             starts)):
                         want = em_run_one(case[4], h, n_iter_max, scheme,
                                           start)
-                        assert np.array_equal(got.s_hat, want.s_hat)
-                        assert np.array_equal(got.v_tilde_hat,
-                                              want.v_tilde_hat)
-                        assert (got.iterations_used, got.converged) == (
-                            want.iterations_used, want.converged)
-                    iterations = {r.iterations_used for r in stacked}
+                        # s_hat, v_hat, iterations and converged
+                        for got, one in zip(stacked, want, strict=True):
+                            assert np.array_equal(got[k], one)
+                    s_hats, v_hats, iteration_counts, _ = stacked
+                    iterations = set(iteration_counts.tolist())
                     staggered += len(iterations) > 1
                     if (scheme, snr_db, n_iter_max) == (Scheme.CAMF, 14.0,
                                                         20):
@@ -466,20 +469,26 @@ class TestEmRun:
                         tied = {run[2] for run in runs
                                 if run[-1] == runs[winner][-1]}
                         ties += len(tied) > 1 and len(iterations) > 1
-                        assert np.array_equal(stacked[0].s_hat, s_hat)
-                        assert np.array_equal(stacked[0].v_tilde_hat, v_hat)
-                        assert stacked[0].iterations_used == runs[winner][2]
+                        assert np.array_equal(s_hats[0], s_hat)
+                        assert np.array_equal(v_hats[0], v_hat)
+                        assert iteration_counts[0] == runs[winner][2]
         assert staggered >= 2 and ties == 1
 
     def test_empty_stack_and_zero_cap(self):
-        # an empty stack decides no slot; a cap below one iteration would
-        # leave every descent without a result, so it is refused
+        # an empty stack decides no slot and returns empty arrays; a cap
+        # below one iteration would leave every descent without a result,
+        # so it is refused
         _, real, _, _, slot, rng = make_slot(46)
         starts = _em_starts(real, Scheme.CAMF, rng)
+        L, M = slot.y.shape
         for scheme in (Scheme.CAMF, Scheme.CUIF):
             empty = receiver.ReceivedSlot(y=slot.y[None][:0], N0=slot.N0)
-            assert em_run(empty, real.H[None][:0], 5, scheme,
-                          starts[None][:0]) == ()
+            s_hat, v_hat, iterations, converged = em_run(
+                empty, real.H[None][:0], 5, scheme, starts[None][:0])
+            assert (s_hat.shape, v_hat.shape, iterations.shape,
+                    converged.shape) == ((0, M), (0, L), (0,), (0,))
+            assert [s_hat.dtype.kind, v_hat.dtype.kind, iterations.dtype.kind,
+                    converged.dtype.kind] == ["i", "c", "i", "b"]
         with pytest.raises(ValueError, match="n_iter_max must be >= 1"):
             em_run_one(slot, real.H, 0, Scheme.CAMF, starts)
 
@@ -496,13 +505,14 @@ class TestEmRun:
                                 (32, Scheme.CUIF, 16), (31, Scheme.CAMF, 16)):
             params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
             starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            result = em_run_one(slot, real.H, 20, scheme, starts)
+            got_s, got_v, iterations, _ = em_run_one(slot, real.H, 20,
+                                                     scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
                 slot, real.H, 20, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
-            assert np.array_equal(result.s_hat, s_hat)
-            assert np.array_equal(result.v_tilde_hat, v_hat)
-            assert result.iterations_used == runs[winner][2]
+            assert np.array_equal(got_s, s_hat)
+            assert np.array_equal(got_v, v_hat)
+            assert iterations == runs[winner][2]
             buffers.append(receiver._workspace.buffers[0])
         assert staggered == 2
         # (R, 2, L, M) entries: 6400 for CUIF at L = 32, then 9600 for CAMF
@@ -519,10 +529,9 @@ class TestEmRun:
 
         def decide(case, seed):
             _, real, _, _, slot, _ = case
-            result = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                                _em_starts(real, Scheme.CAMF,
-                                           np.random.default_rng(seed)))
-            return result.s_hat, result.v_tilde_hat
+            return em_run_one(slot, real.H, 5, Scheme.CAMF,
+                              _em_starts(real, Scheme.CAMF,
+                                         np.random.default_rng(seed)))[:2]
 
         want = [decide(case, seed) for case, seed in zip(slots, seeds)]
         interval = sys.getswitchinterval()
@@ -542,15 +551,14 @@ class TestEmRun:
         a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                            _em_starts(real, Scheme.CAMF, rng))
-        assert np.array_equal(result.s_hat, bits)
+        s_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                               _em_starts(real, Scheme.CAMF, rng))
+        assert np.array_equal(s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
         params, real, _, _, slot, rng = make_slot(13)
-        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                            _em_starts(real, Scheme.CAMF, rng))
-        v = result.v_tilde_hat
+        _, v, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                              _em_starts(real, Scheme.CAMF, rng))
         nonzero = v[np.abs(v) > 0]
         spread = np.angle(nonzero * np.exp(-1j * np.angle(nonzero.mean())))
         assert np.max(np.abs(spread)) < 1e-9
@@ -558,9 +566,9 @@ class TestEmRun:
 
     def test_pilot_pins_result(self):
         params, real, _, bits, slot, rng = make_slot(14)
-        result = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                            _em_starts(real, Scheme.CAMF, rng))
-        assert result.s_hat[0] == 1
+        s_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
+                               _em_starts(real, Scheme.CAMF, rng))
+        assert s_hat[0] == 1
 
     def test_sign_symmetry_same_slot(self):
         # (s, V) and (-s, -V) generate identical received grids, so the
@@ -573,10 +581,10 @@ class TestEmRun:
 
     def test_cuif_mode_runs_unconstrained(self):
         params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        result = em_run_one(slot, real.H, 5, Scheme.CUIF,
-                            _em_starts(real, Scheme.CUIF, rng))
+        _, v_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CUIF,
+                                  _em_starts(real, Scheme.CUIF, rng))
         # unconstrained estimates generally have distinct phases
-        phases = np.angle(result.v_tilde_hat)
+        phases = np.angle(v_hat)
         assert np.ptp(phases) > 1e-6
 
     def test_iteration_cost_scales_linearly(self):
