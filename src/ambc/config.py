@@ -53,6 +53,8 @@ class SimParams:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer would wrap in products and stay out of JSON
+            object.__setattr__(self, name, int(value))
         if not (self.L >= self.P >= 1):
             raise ValueError(f"need L >= P >= 1, got L={self.L}, P={self.P}")
         if self.M < 1:

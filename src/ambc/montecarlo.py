@@ -7,9 +7,8 @@ completion order.
 
 from __future__ import annotations
 
+import atexit
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -28,9 +27,12 @@ _START_OFFSETS = (0.0, -0.5, 0.5)
 _BLOCK_BYTES = 640 * 1024
 # One process pool per worker count, made by the first sweep that asks for
 # it and reused by every later one; concurrent.futures joins its idle
-# workers when the interpreter exits.
-_pools: dict[int, ProcessPoolExecutor] = {}
+# workers when the interpreter exits. The pool modules load with the first
+# pool, after this one, so teardown would clear their globals before the
+# cached pools are collected: the pools are dropped at exit instead.
+_pools: dict = {}
 _pools_lock = threading.Lock()
+atexit.register(_pools.clear)
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,12 @@ def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
 
     A pool that breaks (a worker died) is dropped for good, and the jobs
     run once more on a fresh pool: a job's slots are deterministic, and
-    none of its counts has been used yet.
+    none of its counts has been used yet. The pool modules are imported
+    here, so a serial run never loads them.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with _pools_lock:
         pool = _pools.get(n_workers)
         if pool is None:
@@ -188,12 +194,13 @@ def sweep(params: SimParams, axis: str, values,
     """BER at each axis value; deterministic given params.seed.
 
     Each point's slots are split into one contiguous chunk per worker, and
-    there are no more workers than slots. One worker runs its chunk here;
-    more run theirs on a process pool kept for that worker count: its
-    workers start on the first such sweep and live until the interpreter
-    exits. They see module state as of their fork, so a change made to a
-    module later (a monkeypatch, say) does not reach them. The counts are
-    the same for every n_workers.
+    there are no more workers than slots. One worker runs its chunk here,
+    and no pool module is loaded; more run theirs on a process pool kept
+    for that worker count: the first such sweep imports the pool modules
+    and starts its workers, which live until the interpreter exits. They
+    see module state as of their fork, so a change made to a module later
+    (a monkeypatch, say) does not reach them. The counts are the same for
+    every n_workers.
     """
     values = sorted(values)
     if not values:

@@ -325,6 +325,45 @@ def test_monte_carlo_run_does_not_import_scipy(tmp_path):
     assert run_fresh(tmp_path, argv + ["--analytic"]) == [[], 0, []]
 
 
+# Run in a fresh interpreter: import ambc, serial sweeps and a serial CLI
+# run, then one 2-worker sweep; print the pool modules loaded before and
+# after it, and whether its counts match the serial ones.
+POOL_PROBE = """
+import json, sys
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("concurrent", "multiprocessing"))
+import ambc
+from ambc import cli
+params = ambc.SimParams(slots=3, seed=4)
+curves = [ambc.sweep(params.with_(scheme=scheme), "snr_db", [0.0, 4.0])
+          for scheme in (ambc.Scheme.GENIE_CUIF, ambc.Scheme.CAMF)]
+rc = cli.main(json.loads(sys.argv[1]))
+serial = pool_modules()
+parallel = ambc.sweep(params.with_(scheme=ambc.Scheme.CAMF), "snr_db",
+                      [0.0, 4.0], n_workers=2)
+same = [p.bit_errors for p in parallel.points] == [
+    p.bit_errors for p in curves[1].points]
+print(json.dumps([rc, serial, same, pool_modules()]))
+"""
+
+
+def test_serial_runs_load_no_process_pool(tmp_path):
+    # the pool's modules load with the first parallel sweep, and the
+    # cached pool lets the interpreter exit cleanly
+    argv = ["--scheme", "GENIE_CUIF", "--values", "0", "--slots", "2",
+            "--format", "json", "--out", str(tmp_path / "g.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=fresh_env(), cwd=tmp_path,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rc, serial, same, parallel = json.loads(proc.stdout.splitlines()[-1])
+    assert (rc, serial, same) == (0, [], True)
+    assert {"concurrent.futures.process", "multiprocessing"} <= set(parallel)
+
+
 # Run the CLI in a fresh interpreter where importing scipy fails.
 NO_SCIPY = """
 import sys

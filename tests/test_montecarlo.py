@@ -1,3 +1,6 @@
+import concurrent.futures
+import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -7,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from ambc import bd, channel, montecarlo, receiver
 from ambc.analysis import LinkBudget, ber_cuif_closed, ber_unknown_symbols
-from ambc.config import Scheme, SimParams
+from ambc.config import E_X, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
                              trend_verdict)
 from ambc.ofdm import gen_frame
@@ -318,6 +322,17 @@ def test_at_maps_axes_and_rejects_non_integral_values():
         assert counts(sweep(numpy_counts.with_(scheme=scheme), "snr_db",
                             [0.0])) == counts(
             sweep(python_counts.with_(scheme=scheme), "snr_db", [0.0]))
+    # and are kept as Python ints: a point's counts serialise to JSON, and
+    # slots * M does not wrap at the numpy dtype's width
+    assert all(type(getattr(numpy_counts, field)) is int
+               for field in ("L", "M", "P", "n_iter", "slots", "seed"))
+    genie = SimParams(M=np.int32(10), slots=np.int64(3),
+                      scheme=Scheme.GENIE_CUIF)
+    point = dataclasses.asdict(sweep(genie, "snr_db", [0.0]).points[0])
+    assert type(point["total_bits"]) is int and point["total_bits"] == 30
+    assert json.loads(json.dumps(point)) == point
+    big = SimParams(M=np.int32(100), slots=np.int32(30_000_000))
+    assert big.slots * big.M == 3_000_000_000
 
 
 def test_sweep_n_iter_axis():
@@ -351,12 +366,14 @@ def counts(curve):
 def test_sweep_starts_one_pool_for_all_points(fresh_pools, monkeypatch):
     started = []
 
-    class CountingPool(montecarlo.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    # sweep imports the pool class when it first runs in parallel
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
     params = SimParams(scheme=Scheme.GENIE_CUIF, slots=5, seed=9)
     values = [0.0, 2.0, 4.0]
     serial = counts(sweep(params, "snr_db", values, n_workers=1))
@@ -422,6 +439,38 @@ def test_broken_pool_is_replaced(fresh_pools):
     assert fresh_pools[2] is not pool
 
 
+@pytest.mark.parametrize("seed, snr_db",
+                         [(0, 0.0), (0, 8.0), (1, 8.0), (2, 8.0), (3, 4.0)])
+def test_energy_errors_match_noncentral_chi2_oracle(seed, snr_db):
+    # Given a slot's realization and calibrated threshold tau, |x|^2 = E_X
+    # makes 2 E_m / N0 noncentral chi-square with 2L degrees of freedom and
+    # noncentrality 2 E_X sum_l |H_l + C_l b_m|^2 / N0, so each bit's
+    # decision errs independently with a known probability
+    params = SimParams(scheme=Scheme.ENERGY, snr_db=snr_db, slots=300,
+                       seed=seed)
+    n0 = params.n0
+    errors, x, nc0, nc1, ones = 0, [], [], [], []
+    for i in range(params.slots):
+        real, _, bits, slot, cal = montecarlo.draw_slot(params, i)
+        tau = receiver.threshold_sweep(cal.y_energy, montecarlo._CAL_BITS)
+        errors += int(np.count_nonzero((slot.y_energy >= tau) != bits))
+        gain = real.effective_gain(Scheme.CUIF)
+        x.append(2 * tau / n0)
+        nc0.append(2 * E_X * np.sum(np.abs(real.H) ** 2) / n0)
+        nc1.append(2 * E_X * np.sum(np.abs(real.H + gain) ** 2) / n0)
+        ones.append(int(np.count_nonzero(bits)))
+    # the harness counts the same errors
+    assert sweep(params, "snr_db", [snr_db]).points[0].bit_errors == errors
+    p0 = stats.ncx2.sf(x, 2 * params.L, nc0)   # a 0 read as 1
+    p1 = stats.ncx2.cdf(x, 2 * params.L, nc1)  # a 1 read as 0
+    k1 = np.array(ones)
+    k0 = params.M - k1
+    expected = k0 @ p0 + k1 @ p1
+    sd = np.sqrt(k0 @ (p0 * (1 - p0)) + k1 @ (p1 * (1 - p1)))
+    z = (errors - expected) / sd
+    assert abs(z) < 4, z
+
+
 def test_interpreter_exits_after_parallel_sweep(tmp_path):
     # the cached pool's workers must not keep the interpreter from exiting
     code = ("import ambc\n"
@@ -434,6 +483,22 @@ def test_interpreter_exits_after_parallel_sweep(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # under pytest, a cached pool left to interpreter teardown is collected
+    # after the pool modules' globals are cleared, and prints "Exception
+    # ignored in ... weakref_cb" at exit; a plain script does not show it
+    (tmp_path / "test_parallel.py").write_text(
+        "from ambc import cli\n"
+        "def test_parallel(tmp_path):\n"
+        "    assert cli.main(['--scheme', 'GENIE_CUIF', '--values', '0,4',\n"
+        "                     '--slots', '10', '--workers', '3',\n"
+        "                     '--out', str(tmp_path / 'w3.csv')]) == 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_parallel.py"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    assert "Exception ignored" not in proc.stdout + proc.stderr, proc.stderr
 
 
 def test_curve_requires_sorted_points():
