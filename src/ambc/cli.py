@@ -200,19 +200,23 @@ def write_results(results, spec: RunSpec) -> list[Path]:
 
 
 def _plot_script(data_path: Path, fmt: str) -> str:
+    data = f"here / {data_path.name!r}"
     loader = (
-        f"rows = list(csv.DictReader(ln for ln in open({data_path.name!r})\n"
+        f"rows = list(csv.DictReader(ln for ln in open({data})\n"
         "            if not ln.startswith('#')))"
         if fmt == "csv" else
-        f"rows = json.load(open({data_path.name!r}))['rows']"
+        f"rows = json.load(open({data}))['rows']"
     )
     imports = "import csv" if fmt == "csv" else "import json"
     return f"""#!/usr/bin/env python3
-# Plots log-scale BER versus the sweep axis from {data_path.name}.
+# Plots log-scale BER versus the sweep axis from {data_path.name} to
+# {data_path.stem}.png, both beside this script, from any working directory.
 {imports}
 from collections import defaultdict
+from pathlib import Path
 import matplotlib.pyplot as plt
 
+here = Path(__file__).resolve().parent
 {loader}
 by_scheme = defaultdict(list)
 for r in rows:
@@ -225,7 +229,7 @@ plt.xlabel(rows[0]['axis'])
 plt.ylabel('BER')
 plt.grid(True, which='both')
 plt.legend()
-plt.savefig({(data_path.stem + '.png')!r}, dpi=150)
+plt.savefig(here / {(data_path.stem + '.png')!r}, dpi=150)
 """
 
 

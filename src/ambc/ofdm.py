@@ -1,4 +1,4 @@
-"""Legacy 4-QAM OFDM frames and per-subcarrier ML symbol decisions."""
+"""The legacy signal: its 4-QAM constellation and i.i.d. OFDM frames."""
 
 from __future__ import annotations
 
@@ -41,11 +41,6 @@ def qam4() -> Constellation:
 
 # The legacy signal's constellation: built and validated once.
 _POINTS = qam4().points
-# The ML point by the signs of z: entry Re_neg + 256 Im_neg (each 0 or 1)
-# is the point in that quadrant, index 2 b_I + b_Q with b = 1 on a
-# negative component.
-_POINT_BY_SIGNS = np.zeros(258, dtype=complex)
-_POINT_BY_SIGNS[[0, 256, 1, 257]] = _POINTS
 
 
 def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,28 +49,3 @@ def gen_frame(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("L and M must be >= 1")
     idx = rng.integers(0, _POINTS.size, size=(L, M))
     return _POINTS[idx]
-
-
-def sign_index(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Quadrant index Re_neg + 256 Im_neg of each entry of a C-ordered
-    complex array z, for sign_point; a zero component counts as positive.
-    The (Re, Im) sign flags go to out, a bool array of z's shape plus a
-    trailing 2, when given; the index is a view of them.
-    """
-    negative = np.less(z[..., None].view(np.float64), 0, out=out)
-    # each (Re z < 0, Im z < 0) flag pair, read as one little-endian
-    # 16-bit integer, is Re_neg + 256 Im_neg
-    return negative.view("<u2")[..., 0]
-
-
-def sign_point(index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The 4-QAM point of each quadrant index from sign_index, written
-    into out when given.
-
-    For matched-filter outputs z = conj(g) y this is the ML decision
-    sgn Re z + j sgn Im z, the point minimizing |y - g x|^2; ties (z on an
-    axis, including a zero gain g) go to 1 + 1j, like argmin's first point.
-    """
-    # with out=, take's default mode="raise" copies through a temporary
-    return _POINT_BY_SIGNS.take(index, out=out, mode="clip")
-

@@ -14,9 +14,11 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import E_X, Scheme
-from .ofdm import sign_index, sign_point
 
 _HYPOTHESES = np.array([-1.0, 1.0])
+# em_e_step's 4-QAM point by quadrant index Re_neg + 256 Im_neg (0 or 1 each)
+_POINT_BY_SIGNS = np.zeros(258, dtype=complex)
+_POINT_BY_SIGNS[[0, 256, 1, 257]] = (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
 # em_run's stopping tolerance on sum_l |Delta v_l|^2, the squared norm of
 # an update; absolute and tight, so most descents run to the iteration cap.
 _EPSILON = 1e-12
@@ -74,27 +76,32 @@ def em_e_step(slot: ReceivedSlot, H: np.ndarray, v_tilde: np.ndarray, *,
 
     Both hypotheses s are evaluated in one (..., 2, L, M) pass from the
     matched-filter output z = conj(g) y under the effective gain
-    g_l = H_l + v_l s: the symbols are re-detected from z, and since a
-    4-QAM decision has |x|^2 = E_X and Re(conj(x) z) = |Re z| + |Im z|,
-    the residual energy is |y - g x|^2 = |y|^2 - 2(|Re z| + |Im z|)
-    + E_X |g|^2, scaled by -1/N0, without forming the residual.
-    Posteriors use a max-subtracted softmax.
+    g_l = H_l + v_l s. The symbols are re-detected from z as the ML 4-QAM
+    point sgn Re z + j sgn Im z, a zero or -0 component counting as
+    positive (ties go to 1 + 1j, like argmin's first point). Since it has
+    |x|^2 = E_X and Re(conj(x) z) = |Re z| + |Im z|, the residual energy
+    is |y - g x|^2 = |y|^2 - 2(|Re z| + |Im z|) + E_X |g|^2, scaled by
+    -1/N0, without forming the residual. Posteriors use a max-subtracted
+    softmax.
 
     The pass works in a complex (..., 2, L, M) grid and a bool
-    (..., 2, L, M, 2) grid of sign flags: fresh ones, or the C-ordered pair
-    out. With out, the returned decisions are a view of its complex grid
-    and stay valid only until that grid is written again.
+    (..., 2, L, 2M) grid of (Re z < 0, Im z < 0) flag pairs: fresh ones, or
+    the C-ordered pair out. With out, the returned decisions are a view of
+    its complex grid and stay valid only until that grid is written again.
     """
     gain = H[..., None, :] + v_tilde[..., None, :] * _HYPOTHESES[:, None]
     grid, flags = (None, None) if out is None else out
     # C order, so that each entry's (Re, Im) pair is adjacent in memory
     z = np.multiply(np.conj(gain)[..., None], slot.y[..., None, :, :],
                     out=grid, order="C")
-    index = sign_index(z, out=flags)
+    # each entry's (Re z < 0, Im z < 0) flag pair, read as one little-endian
+    # 16-bit integer, is its quadrant index Re_neg + 256 Im_neg
+    index = np.less(z.view(float), 0, out=flags).view("<u2")
     # sum_l |Re z| and sum_l |Im z| from one pass over the (Re, Im) pairs;
     # the absolute values overwrite z, and the decisions overwrite those
     parts = np.add.reduce(np.abs(z.view(float), out=z.view(float)), -2)
-    xhat = sign_point(index, out=z)
+    # with out=, take's default mode="raise" copies through a temporary
+    xhat = _POINT_BY_SIGNS.take(index, out=z, mode="clip")
     match = parts[..., 0::2] + parts[..., 1::2]
     gain_energy = E_X * np.add.reduce(gain.real ** 2 + gain.imag ** 2, -1)
     ell = (2.0 * match - gain_energy[..., None]
@@ -185,7 +192,7 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
             _workspace.buffers = (np.empty(size, dtype=complex),
                                   np.empty(2 * size, dtype=bool))
         out = (_workspace.buffers[0][:size].reshape(grid),
-               _workspace.buffers[1][:2 * size].reshape(grid + (2,)))
+               _workspace.buffers[1][:2 * size].reshape(*grid[:-1], 2 * M))
         posteriors, xhat, loglik = em_e_step(rows, gains, v_tilde, out=out)
         nu = em_m_step_unconstrained(rows, gains, posteriors, xhat)
         if mode is Scheme.CAMF:

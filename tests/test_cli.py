@@ -159,6 +159,37 @@ def test_plot_script_emitted(tmp_path):
     compile(text, str(script), "exec")
 
 
+# a matplotlib.pyplot stand-in that prints the path savefig is given
+PYPLOT_STUB = """\
+def savefig(path, **kwargs):
+    print(path)
+
+
+def __getattr__(name):
+    return lambda *args, **kwargs: None
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_plot_script_runs_from_any_directory(tmp_path, fmt):
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "pyplot.py").write_text(PYPLOT_STUB)
+    out = tmp_path / "out" / f"r.{fmt}"
+    assert cli.main(["--scheme", "GENIE_CUIF", "--values", "0,4", "--slots",
+                     "2", "--format", fmt, "--emit-plot-script",
+                     "--out", str(out)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(Path("..", "out", "r.plot.py"))], cwd=elsewhere,
+        env=dict(os.environ, PYTHONPATH=str(stub.parent)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()) == out.with_suffix(".png").resolve()
+
+
 def test_reproduce_parser_builds_all_experiments(tmp_path):
     specs = cli.parse_reproduce_args(["--out", str(tmp_path), "--slots", "5"])
     names = [spec.out.name for spec in specs]
@@ -208,6 +239,38 @@ def test_reproduce_rows_pinned(tmp_path):
             line = ",".join(row[c] for c in REPRODUCE_PINNED_COLUMNS)
             digest.update((line + "\n").encode())
     assert digest.hexdigest() == REPRODUCE_PINNED_SHA256
+
+
+# bit_errors per swept value of the Monte Carlo rows of `reproduce --slots 10
+# --seed 7`, recorded before em_e_step made its own 4-QAM decisions; every
+# point scores 10 slots of 99 data bits. Covers caps of 10 and 20 with early
+# stops, one-slot blocks at L = 64 and 128, P = 8 and alpha^2 = 0.05.
+PINNED_REPRODUCE_ERRORS = {
+    ("snr", "CAMF"): (2, 11, 1, 0, 0, 0, 0, 0, 0),
+    ("snr", "CUIF"): (39, 115, 69, 4, 0, 0, 0, 0, 0),
+    ("niter", "CAMF"): (0, 2, 0, 0, 0, 0),
+    ("niter", "CUIF"): (237, 119, 2, 0, 0, 0),
+    ("alpha", "CAMF"): (0, 0, 0, 0, 0),
+    ("alpha", "CUIF"): (0, 51, 0, 0, 0),
+    ("length", "CAMF"): (0, 0, 0, 0),
+    ("length", "CUIF"): (0, 50, 0, 45),
+    ("paths", "CAMF"): (1, 13, 0, 0),
+    ("paths", "CUIF"): (16, 45, 0, 0),
+}
+
+
+def test_reproduce_counts_pinned(tmp_path):
+    errors, bits = {}, set()
+    for spec in cli.parse_reproduce_args(["--out", str(tmp_path), "--slots",
+                                          "10", "--seed", "7"]):
+        name = spec.out.stem.removeprefix("sweep_")
+        for scheme, curve in cli.execute(spec):
+            if not scheme.startswith("ANALYTIC"):
+                errors[(name, scheme)] = tuple(p.bit_errors
+                                               for p in curve.points)
+                bits.update(p.total_bits for p in curve.points)
+    assert errors == PINNED_REPRODUCE_ERRORS
+    assert bits == {990}
 
 
 def test_reproduce_only_subset_runs(tmp_path, capsys):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from ambc.ofdm import Constellation, gen_frame, qam4, sign_index, sign_point
+from ambc.ofdm import Constellation, gen_frame, qam4
+from ambc.receiver import ReceivedSlot, em_e_step
 
 POINTS = qam4().points
 
 
-def detect_grid(z):
-    """The 4-QAM decisions em_e_step makes from matched-filter outputs
-    z = conj(gain) y of any shape."""
-    return sign_point(sign_index(z))
+def detect_grid(y, gain):
+    """The 4-QAM decisions em_e_step makes on y (L, M) under the gains
+    (..., L): with v = 0 both hypotheses use the gain H = gain, so their
+    decisions must agree."""
+    _, xhat, _ = em_e_step(ReceivedSlot(y, 1.0), gain, np.zeros_like(gain))
+    assert np.array_equal(xhat[..., 0], xhat[..., 1])
+    return xhat[..., 0]
 
 
 def qam_detect(y, gain):
@@ -54,7 +58,7 @@ def test_gen_frame_zero_mean():
 
 def test_qam_detect_nearest_point():
     y, gain = np.array([[2 + 2j]]), np.array([1 + 0j])
-    assert detect_grid(np.conj(gain)[..., None] * y)[0, 0] == 1 + 1j
+    assert detect_grid(y, gain)[0, 0] == 1 + 1j
 
 
 def test_qam_detect_noise_free_round_trip():
@@ -62,12 +66,12 @@ def test_qam_detect_noise_free_round_trip():
     x = POINTS[rng.integers(0, 4, (200, 5))]
     gain = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     y = gain[:, None] * x
-    assert np.array_equal(detect_grid(np.conj(gain)[..., None] * y), x)
+    assert np.array_equal(detect_grid(y, gain), x)
 
 
 def test_qam_detect_zero_gain_returns_first_point():
     y, gain = np.array([[5 - 3j, -1 + 2j]]), np.zeros(1, complex)
-    out = detect_grid(np.conj(gain)[..., None] * y)
+    out = detect_grid(y, gain)
     assert np.all(out == POINTS[0])
 
 
@@ -75,7 +79,7 @@ def test_qam_detect_matches_bruteforce():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((500, 1)) + 1j * rng.standard_normal((500, 1))
     gain = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    out = detect_grid(np.conj(gain)[..., None] * y)
+    out = detect_grid(y, gain)
     for l in range(500):
         best = min(POINTS, key=lambda x: abs(y[l, 0] - gain[l] * x) ** 2)
         assert out[l, 0] == best
@@ -89,7 +93,7 @@ def test_detect_grid_matches_scalar():
         y = scale * (rng.standard_normal((L, M))
                      + 1j * rng.standard_normal((L, M)))
         gain = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        out = detect_grid(np.conj(gain)[..., None] * y)
+        out = detect_grid(y, gain)
         assert out.shape == (L, M)
         for l in range(L):
             for m in range(M):
@@ -102,12 +106,12 @@ def test_detect_grid_batched_gain():
     y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
     gain = (rng.standard_normal((R, 2, L))
             + 1j * rng.standard_normal((R, 2, L)))
-    out = detect_grid(np.conj(gain)[..., None] * y)
+    out = detect_grid(y, gain)
     assert out.shape == (R, 2, L, M)
     for r in range(R):
         for k in range(2):
             assert np.array_equal(
-                out[r, k], detect_grid(np.conj(gain[r, k])[..., None] * y))
+                out[r, k], detect_grid(y, gain[r, k]))
             for l in range(L):
                 for m in range(M):
                     assert out[r, k, l, m] == qam_detect(y[l, m],
@@ -116,18 +120,18 @@ def test_detect_grid_batched_gain():
 
 def test_detect_grid_exact_ties_follow_first_point_rule():
     # z = conj(gain) y on an axis (or zero) is an exact tie between points;
-    # the closed form must pick what argmin's first-point rule picks
+    # the sign rule must pick what argmin's first-point rule picks
     y = np.array([[1.0, -1.0, 1j, -1j, 0.0, 2 - 2j, -3 + 1j]])
     for gain in (np.array([1.0 + 0j]), np.array([1j]), np.array([-1.0 + 0j]),
                  np.array([0j]), np.array([2.0 + 2.0j])):
-        out = detect_grid(np.conj(gain)[..., None] * y)
+        out = detect_grid(y, gain)
         for m in range(y.shape[1]):
             assert out[0, m] == qam_detect(y[0, m], gain[0]), (gain, m)
     # signed zeros are ties too
     y = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0),
                    complex(-0.0, -0.0)]])
     gain = np.array([1.0 + 0j])
-    out = detect_grid(np.conj(gain)[..., None] * y)
+    out = detect_grid(y, gain)
     assert np.array_equal(out[0], [1 + 1j, 1 + 1j, 1 + 1j])
 
 

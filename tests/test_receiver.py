@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ambc import bd, channel, ofdm, receiver
+from ambc import bd, channel, receiver
 from ambc.config import Scheme, SimParams
 from ambc.montecarlo import _em_starts
 from ambc.ofdm import gen_frame, qam4
@@ -244,15 +244,15 @@ class TestEStep:
         assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
 
     def test_decisions_match_detect_grid(self):
-        # the decisions are the sign kernel's on z = conj(g) y; v_tilde = H
-        # makes the s = -1 gain exactly zero, so every z on that hypothesis
-        # is zero and its decisions take the tie rule: 1 + 1j
+        # the decisions are sgn Re z + j sgn Im z on z = conj(g) y; v_tilde
+        # = H makes the s = -1 gain exactly zero, so every z on that
+        # hypothesis is zero and its decisions take the tie rule: 1 + 1j
         _, real, _, _, slot, _ = make_slot(27)
         v = np.stack([real.H, real.beta_tilde * real.V])
         _, xhat, _ = em_e_step(slot, real.H, v)
         gain = real.H + v[:, None, :] * np.array([-1.0, 1.0])[:, None]
         z = np.conj(gain)[..., None] * slot.y
-        grid = ofdm.sign_point(ofdm.sign_index(z))
+        grid = np.where(z.real < 0, -1, 1) + 1j * np.where(z.imag < 0, -1, 1)
         assert np.array_equal(xhat, np.moveaxis(grid, -3, -1))
         assert np.all(xhat[0, ..., 0] == 1 + 1j)
 
