@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .config import Scheme
-
 
 def sample_bits(M: int, rng: np.random.Generator,
                 pilot_first: bool = False) -> np.ndarray:
@@ -17,9 +14,8 @@ def sample_bits(M: int, rng: np.random.Generator,
     return s
 
 
-def backscatter_frame(scheme: Scheme, realization: ChannelRealization,
-                      frame: np.ndarray, s: np.ndarray) -> np.ndarray:
+def backscatter_frame(gain: np.ndarray, frame: np.ndarray,
+                      s: np.ndarray) -> np.ndarray:
     """Reflected frequency-domain signal of a whole slot: column m is
-    C x_m s_m with C = realization.effective_gain(scheme)."""
-    gain = realization.effective_gain(scheme)
-    return gain[:, None] * frame * np.asarray(s)[None, :]
+    C x_m s_m, for the backscatter gain C (L,) the reader sees."""
+    return gain[:, None] * frame * s[None, :]

@@ -55,6 +55,12 @@ class SimParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             # a numpy integer would wrap in products and stay out of JSON
             object.__setattr__(self, name, int(value))
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+        for name in ("alpha_sq", "snr_db"):  # a bool would pass as 0 or 1
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (self.L >= self.P >= 1):
             raise ValueError(f"need L >= P >= 1, got L={self.L}, P={self.P}")
         if self.M < 1:

@@ -23,7 +23,7 @@ _CAL_BITS = np.tile([0, 1], 32)  # ENERGY's labeled calibration symbols
 _INITIAL_PHASE_ERROR_BOUND = np.pi / 4
 # CAMF's start offsets (radians) around that phase; CUIF starts once.
 _START_OFFSETS = (0.0, -0.5, 0.5)
-# Bytes of E-step grid one block of EM slots may fill in _point_counts.
+# Bytes of (L, M) grids one block of slots may fill in _point_counts.
 _BLOCK_BYTES = 640 * 1024
 # One process pool per worker count, made by the first sweep that asks for
 # it and reused by every later one; concurrent.futures joins its idle
@@ -81,32 +81,31 @@ def slot_rng(seed: int, slot_index: int,
     return np.random.default_rng(ss)
 
 
-def draw_slot(params: SimParams, slot_index: int, axis_index: int = 0,
-              y: np.ndarray | None = None) -> tuple:
+def draw_slot(params: SimParams, slot_index: int, axis_index: int,
+              y: np.ndarray) -> tuple:
     """Every draw of one slot from its own stream, in this order:
-    realization, frame, bits, noise, then EM's starts (R, L) or ENERGY's
-    calibration frame and noise. Returns (realization, frame, bits, slot,
-    extra), extra being the starts, the calibration slot or None; the
-    received grid is built into y (L, M) when given."""
+    realization, frame, bits, noise, then EM's starts or ENERGY's
+    calibration frame and noise. Builds the received grid into y (L, M);
+    returns (H, C, frame, bits, extra), C the scheme's backscatter gain and
+    extra EM's starts (R, L), ENERGY's calibration energies (64,) or None."""
     rng = slot_rng(params.seed, slot_index, axis_index)
     real = channel.sample_realization(params, rng)
+    C = real.effective_gain(params.scheme)
     frame = gen_frame(params.L, params.M, rng)
+    bits = bd.sample_bits(params.M, rng, params.scheme in EM_SCHEMES)
     if params.scheme is Scheme.ENERGY:
-        # on-off keying of the tag's reflection
-        scheme, bits = Scheme.CUIF, rng.integers(0, 2, size=params.M)
-    else:
-        scheme = params.scheme
-        bits = bd.sample_bits(params.M, rng, pilot_first=scheme in EM_SCHEMES)
-    a = bd.backscatter_frame(scheme, real, frame, bits)
-    slot = receiver.receive(real.H, frame, a, params.n0, rng, out=y)
+        bits = (bits + 1) // 2  # on-off keying: the tag reflects on a 1
+    receiver.receive(real.H, frame, bd.backscatter_frame(C, frame, bits),
+                     params.n0, rng, out=y)
     extra = None
     if params.scheme in EM_SCHEMES:
         extra = _em_starts(real, params.scheme, rng)
     elif params.scheme is Scheme.ENERGY:
         cal_frame = gen_frame(params.L, _CAL_BITS.size, rng)
-        cal_a = bd.backscatter_frame(scheme, real, cal_frame, _CAL_BITS)
-        extra = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
-    return real, frame, bits, slot, extra
+        cal_a = bd.backscatter_frame(C, cal_frame, _CAL_BITS)
+        extra = receiver.receive(real.H, cal_frame, cal_a, params.n0,
+                                 rng).y_energy
+    return real.H, C, frame, bits, extra
 
 
 def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
@@ -131,35 +130,35 @@ def run_slot(params: SimParams, slot_index: int,
 
 
 def _point_counts(args) -> tuple[int, int]:
-    """Bit errors and scored bits of the slots lo..hi - 1. Genie and energy
-    detection decide each slot as it is drawn and score all M bits. EM
-    schemes score the M - 1 data bits after the pilot; they draw blocks
-    into one reused (B, L, M) stack of received grids and decide each in
-    one em_run whose E-step grid, (B x R, 2, L, M) complex for R starts a
-    slot, fills at most _BLOCK_BYTES or holds one slot."""
+    """Bit errors and scored bits of the slots lo..hi - 1 (EM schemes skip
+    the pilot, bit 0). Blocks of B slots are drawn into one reused (B, L, M)
+    stack, each decided by one detector call. A block holds one slot or
+    fills at most _BLOCK_BYTES: em_run's E-step grid, (B x R, 2, L, M)
+    complex for R starts a slot, or the genie and energy detectors' five
+    fresh (L, M) complex grids a slot, which past glibc's mmap threshold
+    would page-fault anew every block."""
     params, axis_index, lo, hi = args
-    errors = 0
-    if params.scheme not in EM_SCHEMES:
-        for i in range(lo, hi):
-            real, frame, bits, slot, cal = draw_slot(params, i, axis_index)
-            s_hat = (receiver.genie_detect(slot, frame, real, params.scheme)
-                     if cal is None else slot.y_energy
-                     >= receiver.threshold_sweep(cal.y_energy, _CAL_BITS))
-            errors += int(np.sum(s_hat != bits))
-        return errors, (hi - lo) * params.M
     n_starts = len(_START_OFFSETS) if params.scheme is Scheme.CAMF else 1
-    step = max(1, _BLOCK_BYTES // (n_starts * 2 * params.L * params.M * 16))
+    grids = 2 * n_starts if params.scheme in EM_SCHEMES else 5
+    step = max(1, _BLOCK_BYTES // (grids * params.L * params.M * 16))
     stack = np.empty((min(step, hi - lo), params.L, params.M), complex)
+    errors, skip = 0, int(params.scheme in EM_SCHEMES)
     for first in range(lo, hi, step):
         ys = stack[:min(step, hi - first)]
-        reals, _, bits, _, starts = zip(*(draw_slot(params, i, axis_index, y)
-                                          for i, y in enumerate(ys, first)))
-        s_hat = receiver.em_run(
-            receiver.ReceivedSlot(ys, params.n0),
-            np.array([real.H for real in reals]), params.n_iter,
-            params.scheme, np.array(starts))[0]
-        errors += int(np.count_nonzero(s_hat[:, 1:] != np.array(bits)[:, 1:]))
-    return errors, (hi - lo) * (params.M - 1)
+        H, C, frame, bits, extra = zip(*(draw_slot(params, i, axis_index, y)
+                                         for i, y in enumerate(ys, first)))
+        slots = receiver.ReceivedSlot(ys, params.n0)
+        if params.scheme in EM_SCHEMES:
+            s_hat = receiver.em_run(slots, np.array(H), params.n_iter,
+                                    params.scheme, np.array(extra))[0]
+        elif params.scheme is Scheme.ENERGY:
+            tau = receiver.threshold_sweep(np.array(extra), _CAL_BITS)
+            s_hat = slots.y_energy >= tau[:, None]
+        else:
+            s_hat = receiver.genie_detect(slots, np.array(frame), np.array(H),
+                                          np.array(C))
+        errors += int(np.count_nonzero((s_hat != np.array(bits))[:, skip:]))
+    return errors, (hi - lo) * (params.M - skip)
 
 
 def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:

@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .config import E_X, Scheme
 
 _HYPOTHESES = np.array([-1.0, 1.0])
@@ -220,28 +219,24 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
             converged[won])
 
 
-def genie_detect(slot: ReceivedSlot, frame: np.ndarray,
-                 realization: ChannelRealization,
-                 scheme: Scheme) -> np.ndarray:
-    """Coherent per-symbol decisions with known channels and OFDM symbols.
-
-    s_m = +1 where Re sum_l conj(C_l x_lm) (y_lm - H_l x_lm) >= 0: since
-    |x|^2 = E_X, this is |y - (H + C) x|^2 <= |y - (H - C) x|^2, the
-    matched-filter form of em_e_step, with ties going to +1.
-    """
-    C = realization.effective_gain(scheme)
-    resid = slot.y - realization.H[:, None] * frame
-    corr = np.conj(C[:, None] * frame) * resid
-    return np.where(corr.real.sum(axis=0) >= 0, 1, -1)
+def genie_detect(slot: ReceivedSlot, frame: np.ndarray, H: np.ndarray,
+                 C: np.ndarray) -> np.ndarray:
+    """Coherent decisions (..., M) on y with known symbols frame (..., L, M)
+    and gains H and C (..., L): s_m = +1 where Re sum_l conj(C_l x_lm)
+    (y_lm - H_l x_lm) >= 0. Since |x|^2 = E_X, that is |y - (H + C) x|^2 <=
+    |y - (H - C) x|^2, the matched-filter form of em_e_step; ties go to +1."""
+    resid = slot.y - H[..., None] * frame
+    corr = np.conj(C[..., None] * frame) * resid
+    return np.where(corr.real.sum(axis=-2) >= 0, 1, -1)
 
 
-def threshold_sweep(energies: np.ndarray, labels: np.ndarray) -> float:
-    """Of 101 thresholds evenly spaced from the lowest energy to just above
-    the highest, the first whose decisions (1 where energy >= threshold)
-    make the fewest errors on the labeled energies. Empty energies raise
-    ValueError."""
+def threshold_sweep(energies: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per row of energies (..., K), of 101 thresholds evenly spaced from its
+    lowest energy to just above its highest, the first whose decisions (1
+    where energy >= threshold) make the fewest errors on the labels (K,).
+    Returns the thresholds (...); an empty row raises ValueError."""
     energies = np.asarray(energies, dtype=float)
-    grid = np.linspace(energies.min(), energies.max() + 1e-9, 101)
-    decisions = energies >= grid[:, None]
-    errors = np.sum(decisions != np.asarray(labels, dtype=bool), axis=1)
-    return float(grid[np.argmin(errors)])
+    grid = np.linspace(energies.min(-1), energies.max(-1) + 1e-9, 101)
+    decisions = energies >= grid[..., None]
+    errors = np.sum(decisions != np.asarray(labels, dtype=bool), axis=-1)
+    return np.take_along_axis(grid, errors.argmin(0)[None], 0)[0]

@@ -63,7 +63,7 @@ def test_energy_parity_cuif_vs_camf():
 def test_backscatter_two_route_agreement():
     real, rng = _random_realization(3)
     x = gen_frame(32, 1, rng)
-    a = backscatter_frame(Scheme.CAMF, real, x, [-1])
+    a = backscatter_frame(real.effective_gain(Scheme.CAMF), x, np.array([-1]))
     kappa = np.sqrt(32) / np.linalg.norm(real.G)
     direct = (real.beta * kappa * real.G * np.conj(real.G)) * x[:, 0] * -1
     assert np.allclose(a[:, 0], direct, atol=1e-12)
@@ -73,8 +73,9 @@ def test_backscatter_flat_channel_reduces_to_cuif():
     real = realization_from_parts(np.array([1.0 + 0j]), np.array([1.0 + 0j]),
                                   8, alpha=np.sqrt(0.2), theta=0.7)
     x = gen_frame(8, 1, np.random.default_rng(4))
-    camf = backscatter_frame(Scheme.CAMF, real, x, [1])
-    cuif = backscatter_frame(Scheme.CUIF, real, x, [1])
+    camf, cuif = (backscatter_frame(real.effective_gain(scheme), x,
+                                    np.array([1]))
+                  for scheme in (Scheme.CAMF, Scheme.CUIF))
     assert np.allclose(camf, cuif)
     assert np.allclose(camf, real.beta * x)
 
@@ -84,7 +85,8 @@ def test_backscatter_zero_reflection():
     h, g = sample_cir(CirProfile(4), rng), sample_cir(CirProfile(4), rng)
     zero = realization_from_parts(h, g, 32, alpha=0.0, theta=0.4)
     x = gen_frame(32, 1, rng)
-    assert np.allclose(backscatter_frame(Scheme.CUIF, zero, x, [1]), 0)
+    assert np.allclose(backscatter_frame(zero.effective_gain(Scheme.CUIF), x,
+                                         np.array([1])), 0)
 
 
 def test_camf_common_phase_property():
@@ -99,8 +101,7 @@ def test_backscatter_frame_matches_columns():
     real, rng = _random_realization(7)
     frame = gen_frame(32, 10, rng)
     s = sample_bits(10, rng)
-    for scheme, gain in ((Scheme.CAMF, real.beta_tilde * real.V),
-                         (Scheme.CUIF, real.beta * real.G)):
-        a = backscatter_frame(scheme, real, frame, s)
+    for gain in (real.beta_tilde * real.V, real.beta * real.G):
+        a = backscatter_frame(gain, frame, s)
         for m in range(10):
             assert np.allclose(a[:, m], gain * frame[:, m] * s[m])

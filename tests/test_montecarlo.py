@@ -14,7 +14,7 @@ from scipy import stats
 
 from ambc import bd, channel, montecarlo, receiver
 from ambc.analysis import LinkBudget, ber_cuif_closed, ber_unknown_symbols
-from ambc.config import E_X, Scheme, SimParams
+from ambc.config import E_X, EM_SCHEMES, Scheme, SimParams
 from ambc.montecarlo import (BerCurve, BerPoint, run_slot, slot_rng, sweep,
                              trend_verdict)
 from ambc.ofdm import gen_frame
@@ -75,6 +75,15 @@ def test_simparams_rejects_non_finite_snr_and_negative_seed():
             SimParams().at("snr_db", snr_db)
     with pytest.raises(ValueError):
         SimParams(seed=-1)
+    # a bool would pass the range checks, and a scheme that is not a Scheme
+    # member would run the GENIE_CUIF detector
+    for field, value in (("alpha_sq", True), ("alpha_sq", np.True_),
+                         ("snr_db", True), ("snr_db", False),
+                         ("snr_db", "6"), ("scheme", "CAMF"),
+                         ("scheme", "bogus"), ("scheme", 3),
+                         ("scheme", None)):
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            SimParams(**{field: value})
     assert SimParams(seed=0, snr_db=-30.0).seed == 0
     for edge in (-1000.0, 1000.0):
         assert 0.0 < SimParams(snr_db=edge).n0 < np.inf
@@ -158,49 +167,58 @@ def test_baseline_counts_pinned():
     assert counts == PINNED_BASELINE_COUNTS
 
 
-def test_run_slot_em_path_is_the_explicit_composition(monkeypatch):
+def test_run_slot_is_the_explicit_composition(monkeypatch):
     # draw_slot draws the slot's stream in the order realization, frame,
-    # bits, noise, EM starts; em_run itself draws nothing, and run_slot
-    # decides its slot as a stack of one
-    em_run, seen = receiver.em_run, []
+    # bits, noise, EM starts; the detector itself draws nothing, and
+    # run_slot decides its slot as a stack of one
+    def same(got, want):
+        if want is None:
+            return got is None
+        if isinstance(want, receiver.ReceivedSlot):
+            return np.array_equal(got.y, want.y) and got.N0 == want.N0
+        if isinstance(want, tuple):
+            return len(got) == len(want) and all(map(same, got, want))
+        return np.array_equal(got, want)
 
-    def recording_em_run(*args):
-        seen.append((args, em_run(*args)))
-        return seen[-1][1]
+    for scheme, name in ((Scheme.CAMF, "em_run"), (Scheme.CUIF, "em_run"),
+                         (Scheme.GENIE_CAMF, "genie_detect")):
+        detector, seen = getattr(receiver, name), []
 
-    for scheme in (Scheme.CAMF, Scheme.CUIF):
+        def recording(*args):
+            seen.append((args, detector(*args)))
+            return seen[-1][1]
+
         params = SimParams(scheme=scheme, snr_db=0.0, seed=3)
+        em = scheme in EM_SCHEMES
         for slot_index in range(3):
             rng = slot_rng(params.seed, slot_index)
             real = channel.sample_realization(params, rng)
+            C = real.effective_gain(scheme)
             frame = gen_frame(params.L, params.M, rng)
-            bits = bd.sample_bits(params.M, rng, pilot_first=True)
-            a = bd.backscatter_frame(scheme, real, frame, bits)
+            bits = bd.sample_bits(params.M, rng, pilot_first=em)
+            a = bd.backscatter_frame(C, frame, bits)
             slot = receiver.receive(real.H, frame, a, params.n0, rng)
-            starts = montecarlo._em_starts(real, scheme, rng)
-            drawn = montecarlo.draw_slot(params, slot_index)
-            assert np.array_equal(drawn[0].H, real.H)
-            for got, want in zip(drawn[1:], (frame, bits, slot.y, starts)):
-                assert np.array_equal(getattr(got, "y", got), want)
-            want = em_run(receiver.ReceivedSlot(y=slot.y[None],
-                                                N0=params.n0),
-                          real.H[None], params.n_iter, scheme, starts[None])
-            assert all(len(output) == 1 for output in want)
+            starts = montecarlo._em_starts(real, scheme, rng) if em else None
+            y = np.empty_like(slot.y)
+            drawn = montecarlo.draw_slot(params, slot_index, 0, y)
+            assert np.array_equal(y, slot.y)
+            assert same(drawn, (real.H, C, frame, bits, starts))
+            stack = receiver.ReceivedSlot(y=slot.y[None], N0=params.n0)
+            args = ((stack, real.H[None], params.n_iter, scheme, starts[None])
+                    if em else (stack, frame[None], real.H[None], C[None]))
+            want = detector(*args)
+            # one row a slot; em_run returns (s_hat, v_hat, iterations,
+            # converged), and EM skips the pilot
+            outputs = want if em else (want,)
+            assert all(len(output) == 1 for output in outputs)
             with monkeypatch.context() as patch:
-                patch.setattr(montecarlo.receiver, "em_run", recording_em_run)
+                patch.setattr(montecarlo.receiver, name, recording)
                 errors, total = run_slot(params, slot_index)
-            (got_slot, got_H, n_iter, got_scheme, got_starts), got = (
-                seen.pop())
-            assert np.array_equal(got_slot.y, slot.y[None])
-            assert np.array_equal(got_H, real.H[None])
-            assert np.array_equal(got_starts, starts[None])
-            assert (got_slot.N0, n_iter, got_scheme) == (
-                params.n0, params.n_iter, scheme)
-            # s_hat, v_hat, iterations and converged
-            for got_output, want_output in zip(got, want, strict=True):
-                assert np.array_equal(got_output, want_output)
+            got_args, got = seen.pop()
+            assert same(got_args, args) and same(got, want)
+            s_hat = outputs[0][0]
             assert (errors, total) == (
-                int(np.sum(want[0][0, 1:] != bits[1:])), params.M - 1)
+                int(np.sum(s_hat[em:] != bits[em:])), params.M - em)
 
 
 def test_draw_slot_energy_draws_its_calibration_last():
@@ -209,20 +227,21 @@ def test_draw_slot_energy_draws_its_calibration_last():
     params = SimParams(scheme=Scheme.ENERGY, snr_db=4.0, seed=3)
     rng = slot_rng(params.seed, 2, 1)
     real = channel.sample_realization(params, rng)
+    C = real.effective_gain(Scheme.CUIF)
     frame = gen_frame(params.L, params.M, rng)
     bits = rng.integers(0, 2, size=params.M)
-    a = bd.backscatter_frame(Scheme.CUIF, real, frame, bits)
+    a = bd.backscatter_frame(C, frame, bits)
     slot = receiver.receive(real.H, frame, a, params.n0, rng)
     cal_bits = np.tile([0, 1], 32)
     cal_frame = gen_frame(params.L, cal_bits.size, rng)
-    cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame, cal_bits)
+    cal_a = bd.backscatter_frame(C, cal_frame, cal_bits)
     cal = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
-    _, got_frame, got_bits, got_slot, got_cal = montecarlo.draw_slot(
-        params, 2, 1)
-    assert np.array_equal(got_frame, frame)
-    assert np.array_equal(got_bits, bits)
-    assert np.array_equal(got_slot.y, slot.y)
-    assert np.array_equal(got_cal.y, cal.y)
+    y = np.empty_like(slot.y)
+    drawn = montecarlo.draw_slot(params, 2, 1, y)
+    assert np.array_equal(y, slot.y)
+    for got, want in zip(drawn, (real.H, C, frame, bits, cal.y_energy),
+                         strict=True):
+        assert np.array_equal(got, want)
     tau = receiver.threshold_sweep(cal.y_energy, cal_bits)
     assert run_slot(params, 2, 1) == (
         int(np.sum((slot.y_energy >= tau) != bits)), params.M)
@@ -450,14 +469,15 @@ def test_energy_errors_match_noncentral_chi2_oracle(seed, snr_db):
                        seed=seed)
     n0 = params.n0
     errors, x, nc0, nc1, ones = 0, [], [], [], []
+    y = np.empty((params.L, params.M), complex)
     for i in range(params.slots):
-        real, _, bits, slot, cal = montecarlo.draw_slot(params, i)
-        tau = receiver.threshold_sweep(cal.y_energy, montecarlo._CAL_BITS)
-        errors += int(np.count_nonzero((slot.y_energy >= tau) != bits))
-        gain = real.effective_gain(Scheme.CUIF)
+        H, C, _, bits, cal_energy = montecarlo.draw_slot(params, i, 0, y)
+        tau = receiver.threshold_sweep(cal_energy, montecarlo._CAL_BITS)
+        energy = receiver.ReceivedSlot(y, n0).y_energy
+        errors += int(np.count_nonzero((energy >= tau) != bits))
         x.append(2 * tau / n0)
-        nc0.append(2 * E_X * np.sum(np.abs(real.H) ** 2) / n0)
-        nc1.append(2 * E_X * np.sum(np.abs(real.H + gain) ** 2) / n0)
+        nc0.append(2 * E_X * np.sum(np.abs(H) ** 2) / n0)
+        nc1.append(2 * E_X * np.sum(np.abs(H + C) ** 2) / n0)
         ones.append(int(np.count_nonzero(bits)))
     # the harness counts the same errors
     assert sweep(params, "snr_db", [snr_db]).points[0].bit_errors == errors

@@ -26,7 +26,7 @@ def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
     real = channel.sample_realization(params, rng)
     frame = gen_frame(L, M, rng)
     bits = bd.sample_bits(M, rng, pilot_first=True)
-    a = bd.backscatter_frame(scheme, real, frame, bits)
+    a = bd.backscatter_frame(real.effective_gain(scheme), frame, bits)
     slot = receive(real.H, frame, a, params.n0 if n0 is None else n0, rng)
     return params, real, frame, bits, slot, rng
 
@@ -105,13 +105,12 @@ def residual_m_step(slot, H, posteriors, xhat):
     return num / den
 
 
-def residual_genie_detect(slot, frame, real, scheme):
-    """Reference genie decisions from the residual energy under each
-    hypothesis gain H + C s, ties to +1."""
-    C = real.effective_gain(scheme)
+def residual_genie_detect(slot, frame, H, C):
+    """Reference genie decisions on one slot from the residual energy under
+    each hypothesis gain H + C s, ties to +1."""
     d = np.empty((slot.y.shape[1], 2))
     for k, s in enumerate((-1.0, 1.0)):
-        resid = slot.y - (real.H + C * s)[:, None] * frame
+        resid = slot.y - (H + C * s)[:, None] * frame
         d[:, k] = np.sum(np.abs(resid) ** 2, axis=0)
     return np.where(d[:, 1] <= d[:, 0], 1, -1)
 
@@ -133,7 +132,7 @@ class TestReceive:
 
     def test_noiseless_camf_structure(self):
         params, real, frame, bits, _, rng = make_slot(1)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
+        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         expected = ((real.H[:, None]
                      + real.beta_tilde * real.V[:, None] * bits[None, :])
@@ -225,7 +224,7 @@ class TestEStep:
 
     def test_true_estimate_recovers_bits_noiselessly(self):
         params, real, frame, bits, _, rng = make_slot(4)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
+        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)  # finite metric
         posteriors, _, _ = em_e_step(slot, real.H, real.beta_tilde * real.V)
@@ -286,7 +285,7 @@ class TestMStep:
 
     def test_plug_in_identity(self):
         params, real, frame, bits, _, rng = make_slot(7)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
+        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         posteriors = np.zeros((params.M, 2))
         posteriors[np.arange(params.M), ((bits + 1) // 2).astype(int)] = 1.0
@@ -379,7 +378,7 @@ class TestProjection:
 class TestEmRun:
     def test_noiseless_descent_from_truth(self):
         params, real, frame, bits, _, rng = make_slot(11)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
+        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
         slot = receive(real.H, frame, a, 0.0, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         _, posteriors, iterations, converged, _ = serial_descent(
@@ -548,7 +547,7 @@ class TestEmRun:
 
     def test_decodes_noiseless_slot(self):
         params, real, frame, bits, _, rng = make_slot(12)
-        a = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
+        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
         slot = receive(real.H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         s_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
@@ -574,8 +573,8 @@ class TestEmRun:
         # (s, V) and (-s, -V) generate identical received grids, so the
         # detector cannot tell them apart; the pilot fixes one labeling
         params, real, frame, bits, _, rng = make_slot(15)
-        a_pos = bd.backscatter_frame(Scheme.CAMF, real, frame, bits)
         gain = real.beta_tilde * real.V
+        a_pos = bd.backscatter_frame(gain, frame, bits)
         a_neg = (-gain[:, None]) * frame * (-bits[None, :])
         assert np.allclose(a_pos, a_neg)
 
@@ -605,15 +604,24 @@ class TestEmRun:
 
 class TestGenie:
     def test_matches_residual_oracle(self):
+        # slot by slot, and each L's slots of both schemes at every SNR as
+        # one (B, L, M) stack, whose rows must get the per-slot decisions
         for L in (16, 32, 128):
-            for snr_db in (-8.0, -4.0, 0.0, 6.0, 12.0, 20.0, 30.0):
+            rows = []
+            for k, snr_db in enumerate((-8.0, -4.0, 0.0, 6.0, 12.0, 20.0,
+                                        30.0)):
                 for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
                     _, real, frame, _, slot, _ = make_slot(
-                        29 + L, snr_db=snr_db, scheme=scheme, L=L)
+                        29 + L + k, snr_db=snr_db, scheme=scheme, L=L)
+                    C = real.effective_gain(scheme)
+                    want = residual_genie_detect(slot, frame, real.H, C)
                     assert np.array_equal(
-                        genie_detect(slot, frame, real, scheme),
-                        residual_genie_detect(slot, frame, real, scheme)), (
+                        genie_detect(slot, frame, real.H, C), want), (
                         L, snr_db, scheme)
+                    rows.append((slot.y, frame, real.H, C, want))
+            y, frame, H, C, want = map(np.array, zip(*rows))
+            stack = receiver.ReceivedSlot(y=y, N0=1.0)
+            assert np.array_equal(genie_detect(stack, frame, H, C), want), L
 
     def test_exact_ties_go_to_plus_one(self):
         # zero backscatter (alpha = 0) and no noise: y = H x, so both
@@ -629,16 +637,17 @@ class TestGenie:
                        rng)
         assert np.array_equal(slot.y, real.H[:, None] * frame)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            assert np.all(genie_detect(slot, frame, real, scheme) == 1)
-            assert np.all(residual_genie_detect(slot, frame, real,
-                                                scheme) == 1)
+            C = real.effective_gain(scheme)
+            assert np.all(genie_detect(slot, frame, real.H, C) == 1)
+            assert np.all(residual_genie_detect(slot, frame, real.H, C) == 1)
 
     def test_noiseless_zero_errors(self):
         params, real, frame, bits, _, rng = make_slot(18)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            a = bd.backscatter_frame(scheme, real, frame, bits)
-            slot = receive(real.H, frame, a, 0.0, rng)
-            s_hat = genie_detect(slot, frame, real, scheme)
+            C = real.effective_gain(scheme)
+            slot = receive(real.H, frame, bd.backscatter_frame(C, frame, bits),
+                           0.0, rng)
+            s_hat = genie_detect(slot, frame, real.H, C)
             assert np.array_equal(s_hat, bits)
 
     def test_cuif_ber_matches_conditional_formula(self):
@@ -647,9 +656,10 @@ class TestGenie:
         n = 10 ** 5
         frame = gen_frame(params.L, n, rng)
         s = bd.sample_bits(n, rng)
-        a = bd.backscatter_frame(Scheme.GENIE_CUIF, real, frame, s)
-        slot = receive(real.H, frame, a, params.n0, rng)
-        s_hat = genie_detect(slot, frame, real, Scheme.GENIE_CUIF)
+        C = real.effective_gain(Scheme.GENIE_CUIF)
+        slot = receive(real.H, frame, bd.backscatter_frame(C, frame, s),
+                       params.n0, rng)
+        s_hat = genie_detect(slot, frame, real.H, C)
         ber = np.mean(s_hat != s)
         from ambc.analysis import ber_cuif_conditional
         expected = ber_cuif_conditional(real.G, real.beta, params.n0)
@@ -667,10 +677,10 @@ class TestGenie:
         noise = 0.5 * (rng.standard_normal((L, M))
                        + 1j * rng.standard_normal((L, M)))
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            a = bd.backscatter_frame(scheme, real, frame, s)
-            y = real.H[:, None] * frame + a + noise
-            slot = receiver.ReceivedSlot(y=y, N0=0.5)
-            s_hat = genie_detect(slot, frame, real, scheme)
+            C = real.effective_gain(scheme)
+            y = real.H[:, None] * frame + bd.backscatter_frame(C, frame, s)
+            slot = receiver.ReceivedSlot(y=y + noise, N0=0.5)
+            s_hat = genie_detect(slot, frame, real.H, C)
             if scheme is Scheme.GENIE_CAMF:
                 first = s_hat
         assert np.array_equal(first, s_hat)
@@ -698,7 +708,8 @@ class TestEnergyDetector:
 
     def test_sweep_returns_grid_minimizer(self):
         # overlapping classes, many tied minimizers, a single energy, and
-        # the calibration energies of real ENERGY slots
+        # the calibration energies of real ENERGY slots; then (B, 64) blocks
+        # of those and of random rows, decided row by row
         rng = np.random.default_rng(22)
         cases = [(np.concatenate([rng.normal(1, 0.5, 100),
                                   rng.normal(2, 0.5, 100)]),
@@ -711,8 +722,8 @@ class TestEnergyDetector:
                                                     snr_db=4.0 * seed - 4.0)
             cal_bits = np.tile([0, 1], 32)
             cal_frame = gen_frame(32, cal_bits.size, draw)
-            cal_a = bd.backscatter_frame(Scheme.CUIF, real, cal_frame,
-                                         cal_bits)
+            cal_a = bd.backscatter_frame(real.effective_gain(Scheme.CUIF),
+                                         cal_frame, cal_bits)
             cal = receive(real.H, cal_frame, cal_a, params.n0, draw)
             cases.append((cal.y_energy, cal_bits))
         for energies, labels in cases:
@@ -720,6 +731,14 @@ class TestEnergyDetector:
             want = brute_force_threshold(energies, labels)
             assert np.float64(tau).view(np.uint64) == np.float64(
                 want).view(np.uint64)
+        blocks = [np.array([energies for energies, _ in cases[4:]])]
+        blocks += [rng.normal(1.0, 0.5, (7, 64)) + cal_bits
+                   for _ in range(20)]
+        for block in blocks:
+            taus = threshold_sweep(block, cal_bits)
+            want = [threshold_sweep(row, cal_bits) for row in block]
+            assert np.array_equal(taus.view(np.uint64),
+                                  np.array(want).view(np.uint64))
 
     def test_sweep_rejects_empty_energies(self):
         with pytest.raises(ValueError):
