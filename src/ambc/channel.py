@@ -7,6 +7,7 @@ tag-to-reader link is flat with unit modulus gain f = e^{j theta}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,33 +68,35 @@ def sample_cir(profile: CirProfile, rng: np.random.Generator) -> np.ndarray:
 
 
 def cir_to_freq(taps: np.ndarray, L: int) -> np.ndarray:
-    """Per-subcarrier response: coefficient l is sum_p taps[p] e^{-j2pi lp/L}."""
+    """Per-subcarrier response: entry l is sum_p taps[...,p] e^{-j2pi lp/L}."""
     taps = np.asarray(taps)
-    if L < taps.shape[0]:
-        raise ValueError(f"CIR length {taps.shape[0]} exceeds symbol length L={L}")
+    if L < taps.shape[-1]:
+        raise ValueError(f"CIR length {taps.shape[-1]} exceeds symbol length L={L}")
     return np.fft.fft(taps, n=L)
 
 
 def realization_from_parts(h: np.ndarray, g: np.ndarray, L: int,
                            alpha: float, theta: float) -> ChannelRealization:
     """Assemble the derived fields from CIRs and the flat-link phase."""
-    H = cir_to_freq(h, L)
-    G = cir_to_freq(g, L)
+    return _from_responses(cir_to_freq(h, L), cir_to_freq(g, L), alpha, theta)
+
+
+def _from_responses(H: np.ndarray, G: np.ndarray, alpha: float,
+                    theta: float) -> ChannelRealization:
     g_norm = np.linalg.norm(G)
     if g_norm == 0:
         raise ValueError("G is identically zero; matched filter undefined")
     beta = alpha * np.exp(1j * theta)
-    kappa = np.sqrt(L) / g_norm
+    kappa = math.sqrt(G.size) / g_norm
     return ChannelRealization(H=H, G=G, theta=theta, alpha=alpha, beta=beta,
                               beta_tilde=beta * kappa, V=np.abs(G) ** 2)
 
 
 def sample_realization(params: SimParams,
                        rng: np.random.Generator) -> ChannelRealization:
-    """Draw h, g and theta for one slot under the equal-power profile."""
-    profile = CirProfile(params.P)
-    h = sample_cir(profile, rng)
-    g = sample_cir(profile, rng)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return realization_from_parts(h, g, params.L,
-                                  np.sqrt(params.alpha_sq), theta)
+    """Draw h, g and theta for one slot under the equal-power profile: one
+    normal draw holds h's real and imaginary parts, then g's."""
+    parts = rng.standard_normal((2, 2, params.P)) * math.sqrt(0.5 / params.P)
+    H, G = cir_to_freq(parts[:, 0] + 1j * parts[:, 1], params.L)
+    theta = 2.0 * np.pi * rng.random()  # as rng.uniform(0, 2 pi), bit for bit
+    return _from_responses(H, G, math.sqrt(params.alpha_sq), theta)

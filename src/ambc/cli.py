@@ -88,7 +88,7 @@ def parse_args(argv) -> RunSpec:
             parser.error("--values is required for axis " + args.axis)
     else:
         try:
-            values = tuple(float(v) for v in args.values.split(","))
+            values = tuple(dict.fromkeys(map(float, args.values.split(","))))
         except ValueError:
             parser.error(f"--values: cannot parse {args.values!r}")
     if args.workers < 1:
@@ -113,7 +113,7 @@ def parse_args(argv) -> RunSpec:
 
 def _analytic_points(spec: RunSpec, scheme: str):
     points = []
-    for value in sorted(spec.values):
+    for value in sorted(set(spec.values)):
         budget = analysis.LinkBudget.from_sim(spec.params.at(spec.axis, value))
         if scheme == ANALYTIC_CUIF:
             ber = analysis.ber_cuif_closed(budget)

@@ -131,34 +131,40 @@ def run_slot(params: SimParams, slot_index: int,
 
 def _point_counts(args) -> tuple[int, int]:
     """Bit errors and scored bits of the slots lo..hi - 1 (EM schemes skip
-    the pilot, bit 0). Blocks of B slots are drawn into one reused (B, L, M)
-    stack, each decided by one detector call. A block holds one slot or
-    fills at most _BLOCK_BYTES: em_run's E-step grid, (B x R, 2, L, M)
+    the pilot, bit 0). Each block of B slots fills the rows of (B, ...)
+    arrays made once and is decided by one detector call. It holds one slot
+    or fills at most _BLOCK_BYTES: em_run's E-step grid, (B x R, 2, L, M)
     complex for R starts a slot, or the genie and energy detectors' five
-    fresh (L, M) complex grids a slot, which past glibc's mmap threshold
-    would page-fault anew every block."""
+    (L, M) complex grids a slot, which past glibc's mmap threshold would
+    page-fault anew every block."""
     params, axis_index, lo, hi = args
+    em, L, M = params.scheme in EM_SCHEMES, params.L, params.M
     n_starts = len(_START_OFFSETS) if params.scheme is Scheme.CAMF else 1
-    grids = 2 * n_starts if params.scheme in EM_SCHEMES else 5
-    step = max(1, _BLOCK_BYTES // (grids * params.L * params.M * 16))
-    stack = np.empty((min(step, hi - lo), params.L, params.M), complex)
-    errors, skip = 0, int(params.scheme in EM_SCHEMES)
+    step = max(1, _BLOCK_BYTES // ((2 * n_starts if em else 5) * L * M * 16))
+    B = min(step, hi - lo)
+    stack, bits = np.empty((B, L, M), complex), np.empty((B, M), int)
+    H, C = np.empty((2, B, L), complex)
+    side = (np.empty((B, n_starts, L), complex) if em else
+            np.empty((B, _CAL_BITS.size)) if params.scheme is Scheme.ENERGY
+            else np.empty_like(stack))
+    errors = 0
     for first in range(lo, hi, step):
-        ys = stack[:min(step, hi - first)]
-        H, C, frame, bits, extra = zip(*(draw_slot(params, i, axis_index, y)
-                                         for i, y in enumerate(ys, first)))
-        slots = receiver.ReceivedSlot(ys, params.n0)
-        if params.scheme in EM_SCHEMES:
-            s_hat = receiver.em_run(slots, np.array(H), params.n_iter,
-                                    params.scheme, np.array(extra))[0]
+        n = min(step, hi - first)
+        for k in range(n):
+            H[k], C[k], frame, bits[k], extra = draw_slot(
+                params, first + k, axis_index, stack[k])
+            side[k] = frame if extra is None else extra
+        slots = receiver.ReceivedSlot(stack[:n], params.n0)
+        if em:
+            s_hat = receiver.em_run(slots, H[:n], params.n_iter,
+                                    params.scheme, side[:n])[0]
         elif params.scheme is Scheme.ENERGY:
-            tau = receiver.threshold_sweep(np.array(extra), _CAL_BITS)
+            tau = receiver.threshold_sweep(side[:n], _CAL_BITS)
             s_hat = slots.y_energy >= tau[:, None]
         else:
-            s_hat = receiver.genie_detect(slots, np.array(frame), np.array(H),
-                                          np.array(C))
-        errors += int(np.count_nonzero((s_hat != np.array(bits))[:, skip:]))
-    return errors, (hi - lo) * (params.M - skip)
+            s_hat = receiver.genie_detect(slots, side[:n], H[:n], C[:n])
+        errors += int(np.count_nonzero((s_hat != bits[:n])[:, em:]))
+    return errors, (hi - lo) * (M - em)
 
 
 def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
@@ -190,7 +196,7 @@ def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
 
 def sweep(params: SimParams, axis: str, values,
           n_workers: int = 1) -> BerCurve:
-    """BER at each axis value; deterministic given params.seed.
+    """BER at each distinct axis value, in order; deterministic given the seed.
 
     Each point's slots are split into one contiguous chunk per worker, and
     there are no more workers than slots. One worker runs its chunk here,
@@ -201,7 +207,7 @@ def sweep(params: SimParams, axis: str, values,
     (a monkeypatch, say) does not reach them. The counts are the same for
     every n_workers.
     """
-    values = sorted(values)
+    values = sorted(set(values))  # 16 and 16.0 are one value
     if not values:
         raise ValueError("empty sweep values")
     if not is_integer(n_workers):

@@ -225,8 +225,10 @@ def genie_detect(slot: ReceivedSlot, frame: np.ndarray, H: np.ndarray,
     and gains H and C (..., L): s_m = +1 where Re sum_l conj(C_l x_lm)
     (y_lm - H_l x_lm) >= 0. Since |x|^2 = E_X, that is |y - (H + C) x|^2 <=
     |y - (H - C) x|^2, the matched-filter form of em_e_step; ties go to +1."""
-    resid = slot.y - H[..., None] * frame
-    corr = np.conj(C[..., None] * frame) * resid
+    resid = np.multiply(H[..., None], frame)
+    np.subtract(slot.y, resid, out=resid)
+    corr = np.multiply(C[..., None], frame)
+    np.multiply(np.conj(corr, out=corr), resid, out=corr)
     return np.where(corr.real.sum(axis=-2) >= 0, 1, -1)
 
 

@@ -40,6 +40,10 @@ def test_cir_to_freq_pure_delay():
 def test_cir_to_freq_rejects_long_cir():
     with pytest.raises(ValueError):
         cir_to_freq(np.ones(9), 8)
+    # stacked CIRs: the taps run along the last axis
+    with pytest.raises(ValueError):
+        cir_to_freq(np.ones((2, 9)), 8)
+    assert cir_to_freq(np.ones((9, 2)), 8).shape == (9, 8)
 
 
 def test_parseval():

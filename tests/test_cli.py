@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -117,6 +118,20 @@ def test_csv_byte_identical_across_runs(tmp_path):
     a = run_main(tmp_path, ["--seed", "7"], "a.csv")
     b = run_main(tmp_path, ["--seed", "7"], "b.csv")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_repeated_values_run_once(tmp_path):
+    a = run_main(tmp_path, ["--values", "0,0,4", "--analytic"], "a.csv")
+    b = run_main(tmp_path, ["--values", "0,4", "--analytic"], "b.csv")
+    assert a.read_bytes() == b.read_bytes()
+    spec = cli.parse_args(["--axis", "L", "--values", "16,16.0,32"])
+    assert spec.values == (16.0, 32.0)
+    # a spec built without the parser: the analytic overlay, like sweep,
+    # runs each value once
+    spec = cli.parse_args(["--scheme", "GENIE_CUIF", "--analytic", "--slots",
+                           "2", "--values", "0,4"])
+    for _, curve in cli.execute(dataclasses.replace(spec, values=(4, 0, 4))):
+        assert [p.swept_value for p in curve.points] == [0.0, 4.0]
 
 
 def test_csv_identical_across_worker_counts(tmp_path):

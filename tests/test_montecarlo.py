@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -221,6 +222,38 @@ def test_run_slot_is_the_explicit_composition(monkeypatch):
                 int(np.sum(s_hat[em:] != bits[em:])), params.M - em)
 
 
+# SHA-256 of draw_slot's outputs, in the order (y, H, C, frame, bits,
+# extra), over 3 slots of each scheme at (L, P) = (32, 4) and (16, 1), 0 dB,
+# seed 5, axis index 1; extra None hashes as b"None". Recorded before the
+# realization was drawn in one normal draw and one FFT: a speed-up must
+# leave every draw of the slot stream, and its order, unchanged.
+PINNED_DRAW_DIGESTS = {
+    "y": "b584d870ae60f46fdc964b2ac525db37e8a383787589e66faa3e0179a166ce18",
+    "H": "905398295c9fbd1bc849dedd5d810b4b0b2a54022611fd689197c0fac41a89a2",
+    "C": "d45db352db924910050e9b04d3094772df664a534aeedc3ed5e441d96a7660c0",
+    "frame":
+        "aaaad1c441886b63e20c6700c038ac8ad0162fb8b4a0fab250aaa7d14ecc0808",
+    "bits": "b9143c7f5ac2986775e17dece5a768d92f8496ef7f7964ea569a1386c0af8905",
+    "extra":
+        "7a2a30ec9742457d388c1569bfb9d6dda33a10dc28e15c4ec80ccb4aabab34f1",
+}
+
+
+def test_draw_slot_bytes_pinned():
+    digests = {name: hashlib.sha256() for name in PINNED_DRAW_DIGESTS}
+    for L, P in ((32, 4), (16, 1)):
+        for scheme in Scheme:
+            params = SimParams(scheme=scheme, L=L, P=P, snr_db=0.0, seed=5)
+            for slot_index in range(3):
+                y = np.empty((L, params.M), complex)
+                drawn = montecarlo.draw_slot(params, slot_index, 1, y)
+                for digest, array in zip(digests.values(), (y,) + drawn):
+                    digest.update(b"None" if array is None
+                                  else np.ascontiguousarray(array).tobytes())
+    assert ({name: d.hexdigest() for name, d in digests.items()}
+            == PINNED_DRAW_DIGESTS)
+
+
 def test_draw_slot_energy_draws_its_calibration_last():
     # on-off bits, then the calibration frame and its noise after the
     # slot's own noise
@@ -297,6 +330,17 @@ def test_sweep_points_sorted_and_counts_consistent():
     for pt in curve.points:
         assert pt.total_bits == 20 * params.M
         assert np.isclose(pt.ber, pt.bit_errors / pt.total_bits)
+
+
+def test_sweep_runs_a_repeated_value_once():
+    # a repeated value must not move later points onto other axis indices
+    def points(axis, values):
+        return [(p.swept_value, p.bit_errors, p.total_bits)
+                for p in sweep(params, axis, values).points]
+
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=200, seed=0)
+    assert points("snr_db", [-8, -8, 0, 4]) == points("snr_db", [-8, 0, 4])
+    assert points("L", [16, 16.0, 32]) == points("L", [16, 32])
 
 
 def test_sweep_applies_axis_value():
