@@ -8,8 +8,8 @@ and a deterministic Monte Carlo sweep harness with a CLI.
 """
 
 from .config import E_X, Scheme, SimParams
-from .channel import (ChannelRealization, CirProfile, cir_to_freq,
-                      sample_cir, sample_realization)
+from .channel import (CirProfile, cir_to_freq, effective_gain, sample_cir,
+                      sample_realization)
 from .ofdm import Constellation, gen_frame, qam4
 from .bd import backscatter_frame, sample_bits
 from .receiver import (ReceivedSlot, em_e_step, em_m_step_unconstrained,

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .config import E_X, SimParams
+from .config import E_X, SimParams, is_integer
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class LinkBudget:
     gamma_x: float              # E_x / N0
 
     def __post_init__(self):
-        if not (isinstance(self.L, Integral) and isinstance(self.P, Integral)
+        if not (is_integer(self.L) and is_integer(self.P)
                 and self.L >= self.P >= 1):
             raise ValueError("need integers L >= P >= 1, "
                              f"got L={self.L!r}, P={self.P!r}")

@@ -35,31 +35,6 @@ class CirProfile:
         return np.full(self.taps, 1.0 / self.taps)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One slot's channels and the derived matched-filter quantities."""
-
-    H: np.ndarray            # length-L frequency response of the CIR h
-    G: np.ndarray            # length-L frequency response of the CIR g
-    theta: float             # phase of the flat gain f = e^{j theta}
-    alpha: float             # reflection coefficient (amplitude)
-    beta: complex            # alpha * f
-    beta_tilde: complex      # beta * kappa, kappa = sqrt(L) / ||G||
-    V: np.ndarray            # |G_l|^2, nonnegative
-
-    def effective_gain(self, scheme: Scheme) -> np.ndarray:
-        """Per-subcarrier backscatter channel C the reader sees, where the
-        reflected signal is a_lm = C_l x_lm s_m.
-
-        CAMF (the tag filters with kappa conj(G)): beta_tilde |G_l|^2, one
-        common phase and nonnegative magnitudes. CUIF and the on-off energy
-        baseline (impulse filter): beta G_l.
-        """
-        if scheme in (Scheme.CAMF, Scheme.GENIE_CAMF):
-            return self.beta_tilde * self.V
-        return self.beta * self.G
-
-
 def sample_cir(profile: CirProfile, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. zero-mean CSCG taps with the profile's variances."""
     scale = np.sqrt(profile.variances / 2.0)
@@ -75,28 +50,33 @@ def cir_to_freq(taps: np.ndarray, L: int) -> np.ndarray:
     return np.fft.fft(taps, n=L)
 
 
-def realization_from_parts(h: np.ndarray, g: np.ndarray, L: int,
-                           alpha: float, theta: float) -> ChannelRealization:
-    """Assemble the derived fields from CIRs and the flat-link phase."""
-    return _from_responses(cir_to_freq(h, L), cir_to_freq(g, L), alpha, theta)
+def effective_gain(G: np.ndarray, beta: complex,
+                   scheme: Scheme) -> np.ndarray:
+    """Per-subcarrier backscatter channel C the reader sees, where the
+    reflected signal is a_lm = C_l x_lm s_m, for the tag-link response G
+    (L,) and beta = alpha f.
 
-
-def _from_responses(H: np.ndarray, G: np.ndarray, alpha: float,
-                    theta: float) -> ChannelRealization:
+    CAMF (the tag filters with kappa conj(G), kappa = sqrt(L) / ||G||):
+    beta kappa |G_l|^2, one common phase and nonnegative magnitudes. CUIF
+    and the on-off energy baseline (impulse filter): beta G_l.
+    """
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"scheme must be a Scheme, got {scheme!r}")
+    if scheme not in (Scheme.CAMF, Scheme.GENIE_CAMF):
+        return beta * G
     g_norm = np.linalg.norm(G)
     if g_norm == 0:
         raise ValueError("G is identically zero; matched filter undefined")
-    beta = alpha * np.exp(1j * theta)
-    kappa = math.sqrt(G.size) / g_norm
-    return ChannelRealization(H=H, G=G, theta=theta, alpha=alpha, beta=beta,
-                              beta_tilde=beta * kappa, V=np.abs(G) ** 2)
+    return beta * (math.sqrt(G.size) / g_norm) * np.abs(G) ** 2
 
 
 def sample_realization(params: SimParams,
-                       rng: np.random.Generator) -> ChannelRealization:
-    """Draw h, g and theta for one slot under the equal-power profile: one
-    normal draw holds h's real and imaginary parts, then g's."""
+                       rng: np.random.Generator) -> tuple:
+    """Draw one slot's channels under the equal-power profile: one normal
+    draw holds h's real and imaginary parts, then g's. Returns the
+    frequency responses H and G (L,) and the phase theta of the flat gain
+    f = e^{j theta}."""
     parts = rng.standard_normal((2, 2, params.P)) * math.sqrt(0.5 / params.P)
     H, G = cir_to_freq(parts[:, 0] + 1j * parts[:, 1], params.L)
     theta = 2.0 * np.pi * rng.random()  # as rng.uniform(0, 2 pi), bit for bit
-    return _from_responses(H, G, math.sqrt(params.alpha_sq), theta)
+    return H, G, theta

@@ -8,6 +8,7 @@ completion order.
 from __future__ import annotations
 
 import atexit
+import math
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -89,26 +90,26 @@ def draw_slot(params: SimParams, slot_index: int, axis_index: int,
     returns (H, C, frame, bits, extra), C the scheme's backscatter gain and
     extra EM's starts (R, L), ENERGY's calibration energies (64,) or None."""
     rng = slot_rng(params.seed, slot_index, axis_index)
-    real = channel.sample_realization(params, rng)
-    C = real.effective_gain(params.scheme)
+    H, G, theta = channel.sample_realization(params, rng)
+    C = channel.effective_gain(
+        G, math.sqrt(params.alpha_sq) * np.exp(1j * theta), params.scheme)
     frame = gen_frame(params.L, params.M, rng)
     bits = bd.sample_bits(params.M, rng, params.scheme in EM_SCHEMES)
     if params.scheme is Scheme.ENERGY:
         bits = (bits + 1) // 2  # on-off keying: the tag reflects on a 1
-    receiver.receive(real.H, frame, bd.backscatter_frame(C, frame, bits),
+    receiver.receive(H, frame, bd.backscatter_frame(C, frame, bits),
                      params.n0, rng, out=y)
     extra = None
     if params.scheme in EM_SCHEMES:
-        extra = _em_starts(real, params.scheme, rng)
+        extra = _em_starts(params, theta, rng)
     elif params.scheme is Scheme.ENERGY:
         cal_frame = gen_frame(params.L, _CAL_BITS.size, rng)
         cal_a = bd.backscatter_frame(C, cal_frame, _CAL_BITS)
-        extra = receiver.receive(real.H, cal_frame, cal_a, params.n0,
-                                 rng).y_energy
-    return real.H, C, frame, bits, extra
+        extra = receiver.receive(H, cal_frame, cal_a, params.n0, rng).y_energy
+    return H, C, frame, bits, extra
 
 
-def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
+def _em_starts(params: SimParams, theta: float,
                rng: np.random.Generator) -> np.ndarray:
     """EM's starting estimates (R, L), a genie stand-in for a pilot-based
     estimator: alpha e^{j(theta_hat + offset)} on every subcarrier, where
@@ -117,10 +118,11 @@ def _em_starts(real: channel.ChannelRealization, scheme: Scheme,
     rotated local optimum, so CAMF starts from each of _START_OFFSETS.
     """
     bound = _INITIAL_PHASE_ERROR_BOUND
-    theta0 = real.theta + rng.uniform(-bound, bound)
-    offsets = np.array(_START_OFFSETS if scheme is Scheme.CAMF else (0.0,))
-    return np.repeat(real.alpha * np.exp(1j * (theta0 + offsets))[:, None],
-                     real.H.size, axis=1)
+    theta0 = theta + rng.uniform(-bound, bound)
+    offsets = np.array(_START_OFFSETS if params.scheme is Scheme.CAMF
+                       else (0.0,))
+    start = math.sqrt(params.alpha_sq) * np.exp(1j * (theta0 + offsets))
+    return np.repeat(start[:, None], params.L, axis=1)
 
 
 def run_slot(params: SimParams, slot_index: int,

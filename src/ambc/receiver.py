@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import E_X, Scheme
+from .config import E_X, EM_SCHEMES, Scheme
 
 _HYPOTHESES = np.array([-1.0, 1.0])
 # em_e_step's 4-QAM point by quadrant index Re_neg + 256 Im_neg (0 or 1 each)
@@ -174,6 +174,9 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
     """
     if n_iter_max < 1:
         raise ValueError(f"n_iter_max must be >= 1, got {n_iter_max}")
+    if mode not in EM_SCHEMES:
+        raise ValueError("mode must be Scheme.CAMF or Scheme.CUIF, "
+                         f"got {mode!r}")
     n_slots, n_starts, L = starts.shape
     n, M = n_slots * n_starts, slot.y.shape[-1]
     v_hats, bit_posteriors = np.empty((n, L), complex), np.empty((n, M, 2))

@@ -144,7 +144,9 @@ def test_link_budget_validation():
                    {"L": -3}, {"L": 2.5}, {"P": 2.5}, {"L": 2},
                    {"gamma_x": math.nan}, {"gamma_x": math.inf},
                    {"alpha_sq": math.nan}, {"alpha_sq": math.inf},
-                   {"gamma_x": 1e308}):
+                   {"gamma_x": 1e308}, {"P": True},
+                   # a bool is not a count, though L = P = 1 would hold
+                   {"L": True, "P": True}):
         with pytest.raises(ValueError):
             LinkBudget(**{"L": 32, "P": 4, "alpha_sq": 0.2, "gamma_x": 5.0,
                           **kwargs})

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ambc.channel import (ChannelRealization, CirProfile, cir_to_freq,
-                          realization_from_parts, sample_cir,
-                          sample_realization)
+from ambc.channel import (CirProfile, cir_to_freq, effective_gain,
+                          sample_cir, sample_realization)
 from ambc.config import Scheme, SimParams
 
 
@@ -57,20 +56,21 @@ def test_parseval():
 
 
 def test_realization_beta_with_zero_phase():
-    h = np.array([1.0 + 0j])
-    g = np.array([1.0 + 0j])
-    real = realization_from_parts(h, g, 8, alpha=np.sqrt(0.2), theta=0.0)
-    assert np.isclose(real.beta, np.sqrt(0.2))
+    # theta = 0 makes beta = alpha: a flat unit G passes it on as the gain
+    G = cir_to_freq(np.array([1.0 + 0j]), 8)
+    beta = np.sqrt(0.2) * np.exp(1j * 0.0)
+    assert np.isclose(beta, np.sqrt(0.2))
+    assert np.allclose(effective_gain(G, beta, Scheme.CUIF), np.sqrt(0.2))
 
 
 def test_flat_g_gives_unit_kappa():
-    real = realization_from_parts(np.array([1.0 + 0j]), np.array([1.0 + 0j]),
-                                  32, alpha=0.5, theta=1.0)
-    assert np.allclose(np.abs(real.G), 1.0)
+    G = cir_to_freq(np.array([1.0 + 0j]), 32)
+    beta = 0.5 * np.exp(1j * 1.0)
+    assert np.allclose(np.abs(G), 1.0)
     # kappa = sqrt(L) / ||G|| = 1: the matched filter leaves the gain as is
-    assert np.isclose(real.beta_tilde, real.beta)
-    assert np.allclose(real.effective_gain(Scheme.CAMF),
-                       real.effective_gain(Scheme.CUIF))
+    assert np.allclose(effective_gain(G, beta, Scheme.CAMF),
+                       effective_gain(G, beta, Scheme.CUIF))
+    assert np.allclose(effective_gain(G, beta, Scheme.CAMF), beta)
 
 
 def test_realization_invariants_sweep():
@@ -78,32 +78,45 @@ def test_realization_invariants_sweep():
     rng = np.random.default_rng(11)
     alpha = np.sqrt(params.alpha_sq)
     for _ in range(10 ** 4):
-        real = sample_realization(params, rng)
-        # |beta_tilde| = alpha kappa with kappa = sqrt(L) / ||G||
-        assert abs(abs(real.beta_tilde) * np.linalg.norm(real.G)
-                   - alpha * np.sqrt(params.L)) < 1e-9
-        assert np.isclose(abs(real.beta), alpha)
-        assert np.all(real.V >= 0)
+        H, G, theta = sample_realization(params, rng)
+        assert H.shape == G.shape == (params.L,) and 0 <= theta < 2 * np.pi
+        beta = alpha * np.exp(1j * theta)
+        camf = effective_gain(G, beta, Scheme.CAMF)
+        # CUIF's gain is beta G, so |beta| = alpha
+        assert np.allclose(np.abs(effective_gain(G, beta, Scheme.CUIF)),
+                           alpha * np.abs(G), rtol=1e-12, atol=0)
+        # CAMF's is beta kappa |G|^2: one common phase, theta's, and
+        # nonnegative magnitudes, summing to alpha kappa ||G||^2 with
+        # kappa = sqrt(L) / ||G||
+        assert np.all((camf * np.exp(-1j * theta)).real >= 0)
+        assert np.allclose((camf * np.exp(-1j * theta)).imag, 0,
+                           atol=1e-12)
+        assert abs(np.abs(camf).sum() - alpha * np.sqrt(params.L)
+                   * np.linalg.norm(G)) < 1e-9
 
 
 def test_derived_fields_consistent():
     params = SimParams()
-    real = sample_realization(params, np.random.default_rng(2))
-    assert isinstance(real, ChannelRealization)
+    H, G, theta = sample_realization(params, np.random.default_rng(2))
     # the same draws, in sample_realization's order
     rng = np.random.default_rng(2)
     profile = CirProfile(params.P)
     h, g = sample_cir(profile, rng), sample_cir(profile, rng)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    alpha = np.sqrt(params.alpha_sq)
-    assert (real.theta, real.alpha) == (theta, alpha)
-    assert np.allclose(real.H, cir_to_freq(h, params.L))
-    assert np.allclose(real.G, cir_to_freq(g, params.L))
-    assert np.isclose(real.beta, alpha * np.exp(1j * theta))
-    kappa = np.sqrt(params.L) / np.linalg.norm(real.G)
-    assert np.isclose(real.beta_tilde, real.beta * kappa)
-    assert np.allclose(real.V, np.abs(real.G) ** 2)
+    assert theta == rng.uniform(0.0, 2.0 * np.pi)
+    assert np.allclose(H, cir_to_freq(h, params.L))
+    assert np.allclose(G, cir_to_freq(g, params.L))
+    # the gain rule, for every scheme, in the rule's arithmetic order
+    beta = np.sqrt(params.alpha_sq) * np.exp(1j * theta)
+    kappa = np.sqrt(params.L) / np.linalg.norm(G)
     for scheme in Scheme:
         camf = scheme in (Scheme.CAMF, Scheme.GENIE_CAMF)
-        expected = real.beta_tilde * real.V if camf else real.beta * real.G
-        assert np.array_equal(real.effective_gain(scheme), expected)
+        expected = beta * kappa * np.abs(G) ** 2 if camf else beta * G
+        assert np.array_equal(effective_gain(G, beta, scheme), expected)
+
+
+def test_effective_gain_rejects_a_non_scheme():
+    # a scheme's name is not a Scheme: "CAMF" would get the impulse filter
+    G = cir_to_freq(np.array([0.6 + 0.2j, 0.3j]), 8)
+    for scheme in ("CAMF", "CUIF", None):
+        with pytest.raises(ValueError, match="scheme must be a Scheme"):
+            effective_gain(G, 0.5, scheme)

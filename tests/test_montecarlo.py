@@ -193,20 +193,21 @@ def test_run_slot_is_the_explicit_composition(monkeypatch):
         em = scheme in EM_SCHEMES
         for slot_index in range(3):
             rng = slot_rng(params.seed, slot_index)
-            real = channel.sample_realization(params, rng)
-            C = real.effective_gain(scheme)
+            H, G, theta = channel.sample_realization(params, rng)
+            C = channel.effective_gain(
+                G, np.sqrt(params.alpha_sq) * np.exp(1j * theta), scheme)
             frame = gen_frame(params.L, params.M, rng)
             bits = bd.sample_bits(params.M, rng, pilot_first=em)
             a = bd.backscatter_frame(C, frame, bits)
-            slot = receiver.receive(real.H, frame, a, params.n0, rng)
-            starts = montecarlo._em_starts(real, scheme, rng) if em else None
+            slot = receiver.receive(H, frame, a, params.n0, rng)
+            starts = montecarlo._em_starts(params, theta, rng) if em else None
             y = np.empty_like(slot.y)
             drawn = montecarlo.draw_slot(params, slot_index, 0, y)
             assert np.array_equal(y, slot.y)
-            assert same(drawn, (real.H, C, frame, bits, starts))
+            assert same(drawn, (H, C, frame, bits, starts))
             stack = receiver.ReceivedSlot(y=slot.y[None], N0=params.n0)
-            args = ((stack, real.H[None], params.n_iter, scheme, starts[None])
-                    if em else (stack, frame[None], real.H[None], C[None]))
+            args = ((stack, H[None], params.n_iter, scheme, starts[None])
+                    if em else (stack, frame[None], H[None], C[None]))
             want = detector(*args)
             # one row a slot; em_run returns (s_hat, v_hat, iterations,
             # converged), and EM skips the pilot
@@ -259,20 +260,22 @@ def test_draw_slot_energy_draws_its_calibration_last():
     # slot's own noise
     params = SimParams(scheme=Scheme.ENERGY, snr_db=4.0, seed=3)
     rng = slot_rng(params.seed, 2, 1)
-    real = channel.sample_realization(params, rng)
-    C = real.effective_gain(Scheme.CUIF)
+    H, G, theta = channel.sample_realization(params, rng)
+    # ENERGY's tag reflects through the impulse filter, as CUIF's does
+    C = channel.effective_gain(
+        G, np.sqrt(params.alpha_sq) * np.exp(1j * theta), Scheme.CUIF)
     frame = gen_frame(params.L, params.M, rng)
     bits = rng.integers(0, 2, size=params.M)
     a = bd.backscatter_frame(C, frame, bits)
-    slot = receiver.receive(real.H, frame, a, params.n0, rng)
+    slot = receiver.receive(H, frame, a, params.n0, rng)
     cal_bits = np.tile([0, 1], 32)
     cal_frame = gen_frame(params.L, cal_bits.size, rng)
     cal_a = bd.backscatter_frame(C, cal_frame, cal_bits)
-    cal = receiver.receive(real.H, cal_frame, cal_a, params.n0, rng)
+    cal = receiver.receive(H, cal_frame, cal_a, params.n0, rng)
     y = np.empty_like(slot.y)
     drawn = montecarlo.draw_slot(params, 2, 1, y)
     assert np.array_equal(y, slot.y)
-    for got, want in zip(drawn, (real.H, C, frame, bits, cal.y_energy),
+    for got, want in zip(drawn, (H, C, frame, bits, cal.y_energy),
                          strict=True):
         assert np.array_equal(got, want)
     tau = receiver.threshold_sweep(cal.y_energy, cal_bits)

@@ -8,6 +8,7 @@ import pytest
 from scipy import optimize
 
 from ambc import bd, channel, receiver
+from ambc.channel import cir_to_freq
 from ambc.config import Scheme, SimParams
 from ambc.montecarlo import _em_starts
 from ambc.ofdm import gen_frame, qam4
@@ -20,15 +21,26 @@ CONST = qam4()
 
 def make_slot(seed, snr_db=6.0, scheme=Scheme.CAMF, L=32, M=100, n0=None,
               alpha_sq=0.2):
+    """A slot drawn in montecarlo.draw_slot's order, with a pilot bit:
+    returns the params, the channel (H, G, theta), the frame, the bits, the
+    received slot and the rest of the stream."""
     params = SimParams(L=L, M=M, P=4, alpha_sq=alpha_sq, snr_db=snr_db,
                        scheme=scheme)
     rng = np.random.default_rng(seed)
-    real = channel.sample_realization(params, rng)
+    H, G, theta = channel.sample_realization(params, rng)
     frame = gen_frame(L, M, rng)
     bits = bd.sample_bits(M, rng, pilot_first=True)
-    a = bd.backscatter_frame(real.effective_gain(scheme), frame, bits)
-    slot = receive(real.H, frame, a, params.n0 if n0 is None else n0, rng)
-    return params, real, frame, bits, slot, rng
+    a = bd.backscatter_frame(slot_gain(params, G, theta), frame, bits)
+    slot = receive(H, frame, a, params.n0 if n0 is None else n0, rng)
+    return params, (H, G, theta), frame, bits, slot, rng
+
+
+def slot_gain(params, G, theta, scheme=None):
+    """The backscatter gain C montecarlo.draw_slot forms for a slot drawn at
+    params, under params.scheme or the scheme given."""
+    beta = np.sqrt(params.alpha_sq) * np.exp(1j * theta)
+    return channel.effective_gain(
+        G, beta, params.scheme if scheme is None else scheme)
 
 
 def serial_descent(slot, H, n_iter_max, mode, v_tilde):
@@ -126,17 +138,16 @@ def q_objective(slot, H, posteriors, xhat, l):
 
 class TestReceive:
     def test_noiseless_direct_link(self):
-        _, real, frame, _, _, rng = make_slot(0)
-        slot = receive(real.H, frame, np.zeros_like(frame), 0.0, rng)
-        assert np.allclose(slot.y, real.H[:, None] * frame)
+        _, (H, _, _), frame, _, _, rng = make_slot(0)
+        slot = receive(H, frame, np.zeros_like(frame), 0.0, rng)
+        assert np.allclose(slot.y, H[:, None] * frame)
 
     def test_noiseless_camf_structure(self):
-        params, real, frame, bits, _, rng = make_slot(1)
-        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
-        slot = receive(real.H, frame, a, 0.0, rng)
-        expected = ((real.H[:, None]
-                     + real.beta_tilde * real.V[:, None] * bits[None, :])
-                    * frame)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(1)
+        C = slot_gain(params, G, theta)
+        slot = receive(H, frame, bd.backscatter_frame(C, frame, bits), 0.0,
+                       rng)
+        expected = (H[:, None] + C[:, None] * bits[None, :]) * frame
         assert np.allclose(slot.y, expected)
 
     def test_noise_variance(self):
@@ -194,9 +205,9 @@ class TestReceive:
 class TestEStep:
     def test_zero_estimate_gives_uniform_posteriors(self):
         # both hypotheses share the gain H, so their metrics are equal
-        _, real, _, _, slot, _ = make_slot(3)
+        _, (H, _, _), _, _, slot, _ = make_slot(3)
         for shape in ((32,), (3, 32)):
-            posteriors, _, _ = em_e_step(slot, real.H,
+            posteriors, _, _ = em_e_step(slot, H,
                                          np.zeros(shape, dtype=complex))
             assert np.all(posteriors == 0.5)
 
@@ -206,38 +217,40 @@ class TestEStep:
         rng = np.random.default_rng(23)
         for L in (16, 32, 128):
             for snr_db in (-4.0, 6.0, 20.0, 40.0):
-                _, real, _, _, slot, _ = make_slot(24 + L, snr_db=snr_db, L=L)
-                truth = real.beta_tilde * real.V
+                params, (H, G, theta), _, _, slot, _ = make_slot(
+                    24 + L, snr_db=snr_db, L=L)
+                truth = slot_gain(params, G, theta)
                 guess = 0.3 * (rng.standard_normal(L)
                                + 1j * rng.standard_normal(L))
                 v = np.stack([truth, truth * np.exp(0.5j), guess])
-                posteriors, xhat, loglik = em_e_step(slot, real.H, v)
+                posteriors, xhat, loglik = em_e_step(slot, H, v)
                 ref_post, ref_xhat, ref_loglik = residual_e_step(
-                    slot, real.H, v)
+                    slot, H, v)
                 scale = np.sum(np.abs(slot.y) ** 2) / slot.N0
                 assert np.array_equal(xhat, ref_xhat), (L, snr_db)
                 assert np.max(np.abs(posteriors - ref_post)) < 1e-9
                 assert np.max(np.abs(loglik - ref_loglik)) < 1e-12 * scale
                 for k in range(3):
-                    alone = em_e_step(slot, real.H, v[k])
+                    alone = em_e_step(slot, H, v[k])
                     assert np.array_equal(alone[1], xhat[k])
 
     def test_true_estimate_recovers_bits_noiselessly(self):
-        params, real, frame, bits, _, rng = make_slot(4)
-        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
-        slot = receive(real.H, frame, a, 0.0, rng)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(4)
+        C = slot_gain(params, G, theta)
+        slot = receive(H, frame, bd.backscatter_frame(C, frame, bits), 0.0,
+                       rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)  # finite metric
-        posteriors, _, _ = em_e_step(slot, real.H, real.beta_tilde * real.V)
+        posteriors, _, _ = em_e_step(slot, H, C)
         idx = ((bits + 1) // 2).astype(int)
         assert np.all(posteriors[np.arange(params.M), idx] >=
                       posteriors[np.arange(params.M), 1 - idx])
 
     def test_any_memory_layout(self):
-        _, real, _, _, slot, _ = make_slot(26)
+        _, (H, _, _), _, _, slot, _ = make_slot(26)
         v = np.full((3, 32), 0.3 + 0.1j)
         flipped = receiver.ReceivedSlot(y=np.asfortranarray(slot.y),
                                         N0=slot.N0)
-        got, want = em_e_step(flipped, real.H, v), em_e_step(slot, real.H, v)
+        got, want = em_e_step(flipped, H, v), em_e_step(slot, H, v)
         assert np.array_equal(got[1], want[1])
         assert np.allclose(got[0], want[0], rtol=0, atol=1e-12)
         assert np.allclose(got[2], want[2], rtol=1e-12, atol=0)
@@ -246,31 +259,31 @@ class TestEStep:
         # the decisions are sgn Re z + j sgn Im z on z = conj(g) y; v_tilde
         # = H makes the s = -1 gain exactly zero, so every z on that
         # hypothesis is zero and its decisions take the tie rule: 1 + 1j
-        _, real, _, _, slot, _ = make_slot(27)
-        v = np.stack([real.H, real.beta_tilde * real.V])
-        _, xhat, _ = em_e_step(slot, real.H, v)
-        gain = real.H + v[:, None, :] * np.array([-1.0, 1.0])[:, None]
+        params, (H, G, theta), _, _, slot, _ = make_slot(27)
+        v = np.stack([H, slot_gain(params, G, theta)])
+        _, xhat, _ = em_e_step(slot, H, v)
+        gain = H + v[:, None, :] * np.array([-1.0, 1.0])[:, None]
         z = np.conj(gain)[..., None] * slot.y
         grid = np.where(z.real < 0, -1, 1) + 1j * np.where(z.imag < 0, -1, 1)
         assert np.array_equal(xhat, np.moveaxis(grid, -3, -1))
         assert np.all(xhat[0, ..., 0] == 1 + 1j)
 
     def test_decisions_outlive_the_next_call(self):
-        _, real, _, _, slot, _ = make_slot(28)
-        _, first, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
+        _, (H, _, _), _, _, slot, _ = make_slot(28)
+        _, first, _ = em_e_step(slot, H, np.full(32, 0.3 + 0.1j))
         kept = first.copy()
-        _, second, _ = em_e_step(slot, real.H, np.full(32, -0.1 + 0.3j))
+        _, second, _ = em_e_step(slot, H, np.full(32, -0.1 + 0.3j))
         assert not np.array_equal(second, kept)
         assert np.array_equal(first, kept)
 
     def test_posteriors_normalized(self):
-        _, real, _, _, slot, _ = make_slot(5)
-        posteriors, _, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
+        _, (H, _, _), _, _, slot, _ = make_slot(5)
+        posteriors, _, _ = em_e_step(slot, H, np.full(32, 0.3 + 0.1j))
         assert np.allclose(posteriors.sum(axis=1), 1.0, atol=1e-12)
 
     def test_high_snr_no_overflow(self):
-        _, real, _, _, slot, _ = make_slot(6, n0=1e-9)
-        posteriors, _, _ = em_e_step(slot, real.H, np.full(32, 0.3 + 0.1j))
+        _, (H, _, _), _, _, slot, _ = make_slot(6, n0=1e-9)
+        posteriors, _, _ = em_e_step(slot, H, np.full(32, 0.3 + 0.1j))
         assert np.all(np.isfinite(posteriors))
 
 
@@ -284,14 +297,15 @@ class TestMStep:
         assert np.allclose(nu, [2.0])
 
     def test_plug_in_identity(self):
-        params, real, frame, bits, _, rng = make_slot(7)
-        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
-        slot = receive(real.H, frame, a, 0.0, rng)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(7)
+        C = slot_gain(params, G, theta)
+        slot = receive(H, frame, bd.backscatter_frame(C, frame, bits), 0.0,
+                       rng)
         posteriors = np.zeros((params.M, 2))
         posteriors[np.arange(params.M), ((bits + 1) // 2).astype(int)] = 1.0
         xhat = np.stack([frame, frame], axis=-1)
-        nu = em_m_step_unconstrained(slot, real.H, posteriors, xhat)
-        assert np.allclose(nu, real.beta_tilde * real.V, atol=1e-9)
+        nu = em_m_step_unconstrained(slot, H, posteriors, xhat)
+        assert np.allclose(nu, C, atol=1e-9)
 
     def test_matches_residual_oracle(self):
         # the residual-free form relies on |xhat|^2 = E_X: random 4-QAM
@@ -377,12 +391,13 @@ class TestProjection:
 
 class TestEmRun:
     def test_noiseless_descent_from_truth(self):
-        params, real, frame, bits, _, rng = make_slot(11)
-        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
-        slot = receive(real.H, frame, a, 0.0, rng)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(11)
+        C = slot_gain(params, G, theta)
+        slot = receive(H, frame, bd.backscatter_frame(C, frame, bits), 0.0,
+                       rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
         _, posteriors, iterations, converged, _ = serial_descent(
-            slot, real.H, 5, Scheme.CAMF, real.beta_tilde * real.V)
+            slot, H, 5, Scheme.CAMF, C)
         s_hat = np.where(posteriors[:, 1] >= posteriors[:, 0], 1, -1)
         assert np.array_equal(s_hat, bits)
         assert converged and iterations <= 2
@@ -398,13 +413,13 @@ class TestEmRun:
         cases += [(seed, Scheme.CAMF, 6.0, 5) for seed in range(34, 38)]
         staggered = ties = 0
         for seed, scheme, snr_db, n_iter_max in cases:
-            params, real, _, _, slot, _ = make_slot(seed, snr_db=snr_db,
-                                                    scheme=scheme, L=16)
-            starts = _em_starts(real, scheme, np.random.default_rng(seed))
+            params, (H, _, theta), _, _, slot, _ = make_slot(
+                seed, snr_db=snr_db, scheme=scheme, L=16)
+            starts = _em_starts(params, theta, np.random.default_rng(seed))
             got_s, got_v, iterations, converged = em_run_one(
-                slot, real.H, n_iter_max, scheme, starts)
+                slot, H, n_iter_max, scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, n_iter_max, scheme, starts)
+                slot, H, n_iter_max, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             tied = {run[2] for run in runs if run[-1] == runs[winner][-1]}
             ties += len(tied) > 1
@@ -417,10 +432,11 @@ class TestEmRun:
     def test_same_inputs_same_result(self):
         # em_run draws nothing and leaves its starts as they are
         for seed, scheme in ((44, Scheme.CAMF), (45, Scheme.CUIF)):
-            _, real, _, _, slot, rng = make_slot(seed, scheme=scheme)
-            starts = _em_starts(real, scheme, rng)
+            params, (H, _, theta), _, _, slot, rng = make_slot(seed,
+                                                               scheme=scheme)
+            starts = _em_starts(params, theta, rng)
             kept = starts.copy()
-            first, second = (em_run_one(slot, real.H, 5, scheme, starts)
+            first, second = (em_run_one(slot, H, 5, scheme, starts)
                              for _ in range(2))
             assert np.array_equal(starts, kept)
             # s_hat, v_hat, iterations and converged
@@ -441,10 +457,11 @@ class TestEmRun:
                 cases = [make_slot(seed, snr_db=snr_db, scheme=scheme, L=16)
                          for seed in seeds]
                 n0 = cases[0][0].n0
-                H = np.array([real.H for _, real, *_ in cases])
+                H = np.array([case[1][0] for case in cases])
                 starts = np.array([
-                    _em_starts(real, scheme, np.random.default_rng(seed))
-                    for seed, (_, real, *_) in zip(seeds, cases)])
+                    _em_starts(params, theta, np.random.default_rng(seed))
+                    for seed, (params, (_, _, theta), *_) in zip(seeds,
+                                                                 cases)])
                 stack = receiver.ReceivedSlot(
                     y=np.array([case[4].y for case in cases]), N0=n0)
                 for n_iter_max in (1, 5, 20):
@@ -477,19 +494,29 @@ class TestEmRun:
         # an empty stack decides no slot and returns empty arrays; a cap
         # below one iteration would leave every descent without a result,
         # so it is refused
-        _, real, _, _, slot, rng = make_slot(46)
-        starts = _em_starts(real, Scheme.CAMF, rng)
+        params, (H, _, theta), _, _, slot, rng = make_slot(46)
+        starts = _em_starts(params, theta, rng)
         L, M = slot.y.shape
         for scheme in (Scheme.CAMF, Scheme.CUIF):
             empty = receiver.ReceivedSlot(y=slot.y[None][:0], N0=slot.N0)
             s_hat, v_hat, iterations, converged = em_run(
-                empty, real.H[None][:0], 5, scheme, starts[None][:0])
+                empty, H[None][:0], 5, scheme, starts[None][:0])
             assert (s_hat.shape, v_hat.shape, iterations.shape,
                     converged.shape) == ((0, M), (0, L), (0,), (0,))
             assert [s_hat.dtype.kind, v_hat.dtype.kind, iterations.dtype.kind,
                     converged.dtype.kind] == ["i", "c", "i", "b"]
         with pytest.raises(ValueError, match="n_iter_max must be >= 1"):
-            em_run_one(slot, real.H, 0, Scheme.CAMF, starts)
+            em_run_one(slot, H, 0, Scheme.CAMF, starts)
+
+    def test_rejects_a_mode_it_cannot_run(self):
+        # only CAMF and CUIF are EM receivers; any other mode would run
+        # CUIF's unconstrained descent unasked, a scheme's name included
+        params, (H, _, theta), _, _, slot, rng = make_slot(47)
+        starts = _em_starts(params, theta, rng)
+        for mode in ("CAMF", Scheme.GENIE_CAMF, Scheme.GENIE_CUIF,
+                     Scheme.ENERGY, None):
+            with pytest.raises(ValueError, match="mode must be"):
+                em_run_one(slot, H, 5, mode, starts)
 
     def test_workspace_reused_across_shapes(self, monkeypatch):
         # The E-step buffers grow only when a grid needs more than their
@@ -502,12 +529,14 @@ class TestEmRun:
         buffers = []
         for seed, scheme, L in ((33, Scheme.CUIF, 32), (30, Scheme.CAMF, 16),
                                 (32, Scheme.CUIF, 16), (31, Scheme.CAMF, 16)):
-            params, real, _, _, slot, _ = make_slot(seed, scheme=scheme, L=L)
-            starts = _em_starts(real, scheme, np.random.default_rng(seed))
-            got_s, got_v, iterations, _ = em_run_one(slot, real.H, 20,
+            params, (H, _, theta), _, _, slot, _ = make_slot(seed,
+                                                             scheme=scheme,
+                                                             L=L)
+            starts = _em_starts(params, theta, np.random.default_rng(seed))
+            got_s, got_v, iterations, _ = em_run_one(slot, H, 20,
                                                      scheme, starts)
             runs, winner, s_hat, v_hat = serial_em_run(
-                slot, real.H, 20, scheme, starts)
+                slot, H, 20, scheme, starts)
             staggered += len({run[2] for run in runs}) > 1
             assert np.array_equal(got_s, s_hat)
             assert np.array_equal(got_v, v_hat)
@@ -527,9 +556,9 @@ class TestEmRun:
         slots = [make_slot(seed) for seed in seeds]
 
         def decide(case, seed):
-            _, real, _, _, slot, _ = case
-            return em_run_one(slot, real.H, 5, Scheme.CAMF,
-                              _em_starts(real, Scheme.CAMF,
+            params, (H, _, theta), _, _, slot, _ = case
+            return em_run_one(slot, H, 5, Scheme.CAMF,
+                              _em_starts(params, theta,
                                          np.random.default_rng(seed)))[:2]
 
         want = [decide(case, seed) for case, seed in zip(slots, seeds)]
@@ -546,54 +575,55 @@ class TestEmRun:
             sys.setswitchinterval(interval)
 
     def test_decodes_noiseless_slot(self):
-        params, real, frame, bits, _, rng = make_slot(12)
-        a = bd.backscatter_frame(real.effective_gain(Scheme.CAMF), frame, bits)
-        slot = receive(real.H, frame, a, 1e-12, rng)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(12)
+        a = bd.backscatter_frame(slot_gain(params, G, theta), frame, bits)
+        slot = receive(H, frame, a, 1e-12, rng)
         slot = receiver.ReceivedSlot(y=slot.y, N0=params.n0)
-        s_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                               _em_starts(real, Scheme.CAMF, rng))
+        s_hat, *_ = em_run_one(slot, H, 5, Scheme.CAMF,
+                               _em_starts(params, theta, rng))
         assert np.array_equal(s_hat, bits)
 
     def test_camf_iterates_in_constraint_set(self):
-        params, real, _, _, slot, rng = make_slot(13)
-        _, v, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                              _em_starts(real, Scheme.CAMF, rng))
+        params, (H, _, theta), _, _, slot, rng = make_slot(13)
+        _, v, *_ = em_run_one(slot, H, 5, Scheme.CAMF,
+                              _em_starts(params, theta, rng))
         nonzero = v[np.abs(v) > 0]
         spread = np.angle(nonzero * np.exp(-1j * np.angle(nonzero.mean())))
         assert np.max(np.abs(spread)) < 1e-9
         assert np.all(np.abs(v) >= 0)
 
     def test_pilot_pins_result(self):
-        params, real, _, bits, slot, rng = make_slot(14)
-        s_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CAMF,
-                               _em_starts(real, Scheme.CAMF, rng))
+        params, (H, _, theta), _, bits, slot, rng = make_slot(14)
+        s_hat, *_ = em_run_one(slot, H, 5, Scheme.CAMF,
+                               _em_starts(params, theta, rng))
         assert s_hat[0] == 1
 
     def test_sign_symmetry_same_slot(self):
         # (s, V) and (-s, -V) generate identical received grids, so the
         # detector cannot tell them apart; the pilot fixes one labeling
-        params, real, frame, bits, _, rng = make_slot(15)
-        gain = real.beta_tilde * real.V
+        params, (_, G, theta), frame, bits, _, rng = make_slot(15)
+        gain = slot_gain(params, G, theta)
         a_pos = bd.backscatter_frame(gain, frame, bits)
         a_neg = (-gain[:, None]) * frame * (-bits[None, :])
         assert np.allclose(a_pos, a_neg)
 
     def test_cuif_mode_runs_unconstrained(self):
-        params, real, _, _, slot, rng = make_slot(16, scheme=Scheme.CUIF)
-        _, v_hat, *_ = em_run_one(slot, real.H, 5, Scheme.CUIF,
-                                  _em_starts(real, Scheme.CUIF, rng))
+        params, (H, _, theta), _, _, slot, rng = make_slot(16,
+                                                           scheme=Scheme.CUIF)
+        _, v_hat, *_ = em_run_one(slot, H, 5, Scheme.CUIF,
+                                  _em_starts(params, theta, rng))
         # unconstrained estimates generally have distinct phases
         phases = np.angle(v_hat)
         assert np.ptp(phases) > 1e-6
 
     def test_iteration_cost_scales_linearly(self):
         def iter_time(L, M, reps=20):
-            params, real, _, _, slot, _ = make_slot(17, L=L, M=M)
+            _, (H, _, _), _, _, slot, _ = make_slot(17, L=L, M=M)
             v_tilde = np.full(L, 0.3 + 0.1j)
             start = time.perf_counter()
             for _ in range(reps):
-                posteriors, xhat, _ = em_e_step(slot, real.H, v_tilde)
-                em_m_step_unconstrained(slot, real.H, posteriors, xhat)
+                posteriors, xhat, _ = em_e_step(slot, H, v_tilde)
+                em_m_step_unconstrained(slot, H, posteriors, xhat)
             return (time.perf_counter() - start) / reps
 
         small = iter_time(64, 128)
@@ -611,14 +641,14 @@ class TestGenie:
             for k, snr_db in enumerate((-8.0, -4.0, 0.0, 6.0, 12.0, 20.0,
                                         30.0)):
                 for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-                    _, real, frame, _, slot, _ = make_slot(
+                    params, (H, G, theta), frame, _, slot, _ = make_slot(
                         29 + L + k, snr_db=snr_db, scheme=scheme, L=L)
-                    C = real.effective_gain(scheme)
-                    want = residual_genie_detect(slot, frame, real.H, C)
+                    C = slot_gain(params, G, theta)
+                    want = residual_genie_detect(slot, frame, H, C)
                     assert np.array_equal(
-                        genie_detect(slot, frame, real.H, C), want), (
+                        genie_detect(slot, frame, H, C), want), (
                         L, snr_db, scheme)
-                    rows.append((slot.y, frame, real.H, C, want))
+                    rows.append((slot.y, frame, H, C, want))
             y, frame, H, C, want = map(np.array, zip(*rows))
             stack = receiver.ReceivedSlot(y=y, N0=1.0)
             assert np.array_equal(genie_detect(stack, frame, H, C), want), L
@@ -628,59 +658,58 @@ class TestGenie:
         # hypotheses fit exactly in either form
         L, M = 16, 20
         rng = np.random.default_rng(30)
-        real = channel.realization_from_parts(
-            rng.standard_normal(4) + 1j * rng.standard_normal(4),
-            rng.standard_normal(4) + 1j * rng.standard_normal(4), L,
-            alpha=0.0, theta=0.9)
+        H, G = (cir_to_freq(rng.standard_normal(4)
+                            + 1j * rng.standard_normal(4), L)
+                for _ in range(2))
         frame = gen_frame(L, M, rng)
-        slot = receive(real.H, frame, np.zeros((L, M), dtype=complex), 0.0,
+        slot = receive(H, frame, np.zeros((L, M), dtype=complex), 0.0,
                        rng)
-        assert np.array_equal(slot.y, real.H[:, None] * frame)
+        assert np.array_equal(slot.y, H[:, None] * frame)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            C = real.effective_gain(scheme)
-            assert np.all(genie_detect(slot, frame, real.H, C) == 1)
-            assert np.all(residual_genie_detect(slot, frame, real.H, C) == 1)
+            C = channel.effective_gain(G, 0.0 * np.exp(0.9j), scheme)
+            assert np.all(genie_detect(slot, frame, H, C) == 1)
+            assert np.all(residual_genie_detect(slot, frame, H, C) == 1)
 
     def test_noiseless_zero_errors(self):
-        params, real, frame, bits, _, rng = make_slot(18)
+        params, (H, G, theta), frame, bits, _, rng = make_slot(18)
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            C = real.effective_gain(scheme)
-            slot = receive(real.H, frame, bd.backscatter_frame(C, frame, bits),
+            C = slot_gain(params, G, theta, scheme)
+            slot = receive(H, frame, bd.backscatter_frame(C, frame, bits),
                            0.0, rng)
-            s_hat = genie_detect(slot, frame, real.H, C)
+            s_hat = genie_detect(slot, frame, H, C)
             assert np.array_equal(s_hat, bits)
 
     def test_cuif_ber_matches_conditional_formula(self):
         # fixed channel, many independent symbols
-        params, real, _, _, _, rng = make_slot(19)
+        params, (H, G, theta), _, _, _, rng = make_slot(19)
         n = 10 ** 5
         frame = gen_frame(params.L, n, rng)
         s = bd.sample_bits(n, rng)
-        C = real.effective_gain(Scheme.GENIE_CUIF)
-        slot = receive(real.H, frame, bd.backscatter_frame(C, frame, s),
+        C = slot_gain(params, G, theta, Scheme.GENIE_CUIF)
+        slot = receive(H, frame, bd.backscatter_frame(C, frame, s),
                        params.n0, rng)
-        s_hat = genie_detect(slot, frame, real.H, C)
+        s_hat = genie_detect(slot, frame, H, C)
         ber = np.mean(s_hat != s)
         from ambc.analysis import ber_cuif_conditional
-        expected = ber_cuif_conditional(real.G, real.beta, params.n0)
+        beta = np.sqrt(params.alpha_sq) * np.exp(1j * theta)
+        expected = ber_cuif_conditional(G, beta, params.n0)
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(ber - expected) < 3 * se + 1e-12
 
     def test_flat_channel_camf_equals_cuif(self):
         L, M = 8, 50
-        real = channel.realization_from_parts(
-            np.array([0.6 + 0.2j]), np.array([0.8 - 0.1j]), L,
-            alpha=np.sqrt(0.2), theta=0.9)
+        H, G = (cir_to_freq(np.array([tap]), L)
+                for tap in (0.6 + 0.2j, 0.8 - 0.1j))
         rng = np.random.default_rng(20)
         frame = gen_frame(L, M, rng)
         s = bd.sample_bits(M, rng)
         noise = 0.5 * (rng.standard_normal((L, M))
                        + 1j * rng.standard_normal((L, M)))
         for scheme in (Scheme.GENIE_CAMF, Scheme.GENIE_CUIF):
-            C = real.effective_gain(scheme)
-            y = real.H[:, None] * frame + bd.backscatter_frame(C, frame, s)
+            C = channel.effective_gain(G, np.sqrt(0.2) * np.exp(0.9j), scheme)
+            y = H[:, None] * frame + bd.backscatter_frame(C, frame, s)
             slot = receiver.ReceivedSlot(y=y + noise, N0=0.5)
-            s_hat = genie_detect(slot, frame, real.H, C)
+            s_hat = genie_detect(slot, frame, H, C)
             if scheme is Scheme.GENIE_CAMF:
                 first = s_hat
         assert np.array_equal(first, s_hat)
@@ -718,13 +747,13 @@ class TestEnergyDetector:
                  (np.array([3.0]), np.array([1])),
                  (np.array([3.0]), np.array([0]))]
         for seed in range(4):
-            params, real, _, _, _, draw = make_slot(seed,
-                                                    snr_db=4.0 * seed - 4.0)
+            params, (H, G, theta), _, _, _, draw = make_slot(
+                seed, snr_db=4.0 * seed - 4.0)
             cal_bits = np.tile([0, 1], 32)
             cal_frame = gen_frame(32, cal_bits.size, draw)
-            cal_a = bd.backscatter_frame(real.effective_gain(Scheme.CUIF),
-                                         cal_frame, cal_bits)
-            cal = receive(real.H, cal_frame, cal_a, params.n0, draw)
+            cal_a = bd.backscatter_frame(
+                slot_gain(params, G, theta, Scheme.CUIF), cal_frame, cal_bits)
+            cal = receive(H, cal_frame, cal_a, params.n0, draw)
             cases.append((cal.y_energy, cal_bits))
         for energies, labels in cases:
             tau = threshold_sweep(energies, labels)
