@@ -64,13 +64,6 @@ def ber_cuif_conditional(G: np.ndarray, beta: complex, n0: float) -> float:
     return float(q_function(np.sqrt(stat)))
 
 
-def ber_camf_conditional(G: np.ndarray, beta_tilde: complex,
-                         n0: float) -> float:
-    """Genie CAMF error probability for a fixed tag-link response G."""
-    stat = 2.0 * abs(beta_tilde) ** 2 * E_X * np.sum(np.abs(G) ** 4) / n0
-    return float(q_function(np.sqrt(stat)))
-
-
 def _log_binomials(num, den) -> np.ndarray:
     """log(prod(num[:i]) / prod(den[:i])) for i = 0 .. len(num).
 

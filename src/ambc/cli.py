@@ -17,19 +17,31 @@ from . import analysis, montecarlo
 from .config import SWEEP_AXES, Scheme, SimParams
 
 SCHEMA_VERSION = "ambc-results-v1"
-CSV_COLUMNS = ["scheme", "axis", "value", "L", "M", "P", "alpha2", "snr_db",
-               "niter", "slots", "bit_errors", "total_bits", "ber", "stderr",
-               "runtime_ms"]
+
+# Each operating-point field of SimParams: its flag, and its CSV column
+# (None: not written). The flags take their type and default from SimParams().
+_FIELDS = {"L": ("--L", "L"), "M": ("--M", "M"), "P": ("--P", "P"),
+           "alpha_sq": ("--alpha2", "alpha2"),
+           "snr_db": ("--snr-db", "snr_db"), "n_iter": ("--niter", "niter"),
+           "slots": ("--slots", "slots"), "seed": ("--seed", None)}
+
+CSV_COLUMNS = ["scheme", "axis", "value",
+               *(column for _, column in _FIELDS.values() if column),
+               "bit_errors", "total_bits", "ber", "stderr", "runtime_ms"]
 
 ANALYTIC_CUIF = "ANALYTIC_CUIF"
 ANALYTIC_MIX = "ANALYTIC_MIX"
+# Each analytic overlay and its closed form, looked up in analysis at each
+# call so that a wrapper put on the module's function (perfbench's) sees it.
+OVERLAYS = {ANALYTIC_CUIF: lambda budget: analysis.ber_cuif_closed(budget),
+            ANALYTIC_MIX: lambda budget: analysis.ber_unknown_symbols(budget)}
 
 DEFAULT_SNR_VALUES = tuple(float(v) for v in range(9))
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    schemes: tuple               # Scheme names and ANALYTIC_* overlays
+    schemes: tuple               # Scheme names and OVERLAYS names
     axis: str
     values: tuple
     params: SimParams            # each Scheme's sweep sets its own scheme
@@ -52,20 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--values", default=None,
                         help="comma-separated axis values, default 0..8 dB"
                              "; write --values=-4,0 if the first is negative")
-    parser.add_argument("--L", type=int, default=32)
-    parser.add_argument("--M", type=int, default=100)
-    parser.add_argument("--P", type=int, default=4)
-    parser.add_argument("--alpha2", type=float, default=0.2)
-    parser.add_argument("--snr-db", type=float, default=6.0)
-    parser.add_argument("--niter", type=int, default=5)
-    parser.add_argument("--slots", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = SimParams()
+    for field, (flag, _) in _FIELDS.items():
+        default = getattr(defaults, field)
+        parser.add_argument(flag, dest=field, type=type(default),
+                            default=default,
+                            metavar=flag[2:].upper().replace("-", "_"))
     parser.add_argument("--out", default="ambc_results.csv")
     parser.add_argument("--format", dest="fmt", default="csv",
                         choices=("csv", "json"))
     parser.add_argument("--emit-plot-script", action="store_true")
     parser.add_argument("--analytic", action="store_true",
-                        help="emit ANALYTIC_CUIF and ANALYTIC_MIX overlays")
+                        help=f"emit {' and '.join(OVERLAYS)} overlays")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--timing", action="store_true",
                         help="record wall time per point (breaks byte-level "
@@ -94,9 +104,8 @@ def parse_args(argv) -> RunSpec:
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
-        params = SimParams(L=args.L, M=args.M, P=args.P, alpha_sq=args.alpha2,
-                           snr_db=args.snr_db, scheme=scheme_objs[0],
-                           n_iter=args.niter, slots=args.slots, seed=args.seed)
+        params = SimParams(scheme=scheme_objs[0],
+                           **{field: getattr(args, field) for field in _FIELDS})
         for scheme in scheme_objs:
             for value in values:
                 params.with_(scheme=scheme).at(args.axis, value)
@@ -104,25 +113,20 @@ def parse_args(argv) -> RunSpec:
         parser.error(f"invalid run parameters: {exc}")
     names = [scheme.value for scheme in scheme_objs]
     if args.analytic:
-        names += [ANALYTIC_CUIF, ANALYTIC_MIX]
+        names += OVERLAYS
     return RunSpec(schemes=tuple(names), axis=args.axis, values=values,
                    params=params, out=Path(args.out), fmt=args.fmt,
                    emit_plot_script=args.emit_plot_script,
                    workers=args.workers, include_timing=args.timing)
 
 
-def _analytic_points(spec: RunSpec, scheme: str):
-    points = []
-    for value in sorted(set(spec.values)):
-        budget = analysis.LinkBudget.from_sim(spec.params.at(spec.axis, value))
-        if scheme == ANALYTIC_CUIF:
-            ber = analysis.ber_cuif_closed(budget)
-        else:
-            ber = analysis.ber_unknown_symbols(budget)
-        points.append(montecarlo.BerPoint(
-            swept_value=float(value), bit_errors=0, total_bits=0,
-            ber=ber, stderr=0.0, runtime_ms=0.0))
-    return montecarlo.BerCurve(axis_name=spec.axis, points=tuple(points),
+def _analytic_points(spec: RunSpec, closed_form):
+    points = tuple(montecarlo.BerPoint(
+        swept_value=float(value), bit_errors=0, total_bits=0,
+        ber=closed_form(analysis.LinkBudget.from_sim(
+            spec.params.at(spec.axis, value))),
+        stderr=0.0, runtime_ms=0.0) for value in sorted(set(spec.values)))
+    return montecarlo.BerCurve(axis_name=spec.axis, points=points,
                                params_snapshot=spec.params)
 
 
@@ -130,8 +134,8 @@ def execute(spec: RunSpec):
     """Run every scheme's sweep; returns [(scheme name, BerCurve)]."""
     results = []
     for scheme in spec.schemes:
-        if scheme in (ANALYTIC_CUIF, ANALYTIC_MIX):
-            curve = _analytic_points(spec, scheme)
+        if scheme in OVERLAYS:
+            curve = _analytic_points(spec, OVERLAYS[scheme])
         else:
             curve = montecarlo.sweep(spec.params.with_(scheme=Scheme(scheme)),
                                      spec.axis, spec.values,
@@ -148,13 +152,9 @@ def _rows(results, spec: RunSpec):
                 "scheme": scheme,
                 "axis": spec.axis,
                 "value": point.swept_value,
-                "L": params.L,
-                "M": params.M,
-                "P": params.P,
-                "alpha2": params.alpha_sq,
-                "snr_db": params.snr_db,
-                "niter": params.n_iter,
-                "slots": 0 if scheme.startswith("ANALYTIC") else params.slots,
+                **{column: 0 if field == "slots" and scheme in OVERLAYS
+                   else getattr(params, field)
+                   for field, (_, column) in _FIELDS.items() if column},
                 "bit_errors": point.bit_errors,
                 "total_bits": point.total_bits,
                 "ber": point.ber,
@@ -209,8 +209,8 @@ def _plot_script(data_path: Path, fmt: str) -> str:
     )
     imports = "import csv" if fmt == "csv" else "import json"
     return f"""#!/usr/bin/env python3
-# Plots log-scale BER versus the sweep axis from {data_path.name} to
-# {data_path.stem}.png, both beside this script, from any working directory.
+# Plots log-scale BER versus the sweep axis from {data_path.name!r} to
+# {data_path.stem + '.png'!r}, both beside this script, from any working directory.
 {imports}
 from collections import defaultdict
 from pathlib import Path
@@ -223,13 +223,13 @@ for r in rows:
     by_scheme[r['scheme']].append((float(r['value']), float(r['ber'])))
 for scheme, pts in by_scheme.items():
     pts.sort()
-    style = '--' if scheme.startswith('ANALYTIC') else '-o'
+    style = '--' if scheme in {tuple(OVERLAYS)!r} else '-o'
     plt.semilogy([v for v, _ in pts], [b for _, b in pts], style, label=scheme)
 plt.xlabel(rows[0]['axis'])
 plt.ylabel('BER')
 plt.grid(True, which='both')
 plt.legend()
-plt.savefig(here / {(data_path.stem + '.png')!r}, dpi=150)
+plt.savefig(here / {data_path.stem + '.png'!r}, dpi=150)
 """
 
 
@@ -250,7 +250,7 @@ def parse_reproduce_args(argv) -> list[RunSpec]:
     )
     parser.add_argument("--out", default="ambc_reproduce")
     parser.add_argument("--slots", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=SimParams().seed)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--emit-plot-script", action="store_true")
     parser.add_argument("--only", action="append", default=None,

@@ -34,6 +34,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for Python and numpy real numbers, but not for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """One Monte Carlo operating point."""
@@ -59,7 +64,7 @@ class SimParams:
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
         for name in ("alpha_sq", "snr_db"):  # a bool would pass as 0 or 1
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (self.L >= self.P >= 1):
             raise ValueError(f"need L >= P >= 1, got L={self.L}, P={self.P}")
@@ -93,6 +98,8 @@ class SimParams:
         ``value``."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
+        if not is_real(value):  # float() would take True as 1 and "6" as 6
+            raise ValueError(f"{axis} must be a number, got {value!r}")
         if axis in _INTEGER_AXES:
             if not float(value).is_integer():
                 raise ValueError(f"{axis} must be an integer, got {value!r}")

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ambc.analysis import (LinkBudget, ber_camf_conditional, ber_cuif_closed,
-                           ber_cuif_conditional, ber_unknown_symbols,
-                           q_function, theorem1_gap)
+from ambc.analysis import (LinkBudget, ber_cuif_closed, ber_cuif_conditional,
+                           ber_unknown_symbols, q_function, theorem1_gap)
 from ambc.channel import cir_to_freq, sample_cir, CirProfile
 from ambc.config import E_X, SimParams
 
@@ -56,31 +55,6 @@ def test_conditional_cuif_forms_agree():
 def test_conditional_cuif_noiseless_limit():
     G = np.ones(8)
     assert ber_cuif_conditional(G, 0.5, 1e-12) < 1e-300
-
-
-def test_camf_conditional_flat_equals_cuif():
-    L = 16
-    G = np.exp(1j * np.linspace(0, 3, L))  # flat magnitude
-    beta = 0.4 * np.exp(0.3j)
-    kappa = np.sqrt(L) / np.linalg.norm(G)
-    camf = ber_camf_conditional(G, beta * kappa, 0.7)
-    cuif = ber_cuif_conditional(G, beta, 0.7)
-    assert abs(camf - cuif) < 1e-12
-
-
-def test_camf_conditional_never_worse():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        g = sample_cir(CirProfile.uniform(4), rng)
-        G = cir_to_freq(g, 32)
-        beta = 0.447
-        kappa = np.sqrt(32) / np.linalg.norm(G)
-        assert (ber_camf_conditional(G, beta * kappa, 0.5)
-                <= ber_cuif_conditional(G, beta, 0.5) + 1e-15)
-
-
-def test_camf_conditional_no_signal():
-    assert ber_camf_conditional(np.ones(8), 0.0, 1.0) == 0.5
 
 
 def test_closed_form_single_branch():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ambc
-from ambc import cli
+from ambc import analysis, cli
 from ambc.config import Scheme
 
 
@@ -165,6 +165,22 @@ def test_analytic_rows_have_no_counts(tmp_path):
         assert 0.0 < float(r["ber"]) < 0.5
 
 
+def test_overlay_rows_carry_their_own_closed_form(tmp_path):
+    closed_forms = {cli.ANALYTIC_CUIF: analysis.ber_cuif_closed,
+                    cli.ANALYTIC_MIX: analysis.ber_unknown_symbols}
+    assert list(cli.OVERLAYS) == list(closed_forms)
+    for axis, values in (("snr_db", "-4,0,4"), ("L", "16,64")):
+        out = run_main(tmp_path, ["--analytic", "--axis", axis,
+                                  f"--values={values}"], f"{axis}.csv")
+        rows = [r for r in csv.DictReader(out.read_text().splitlines()[1:])
+                if r["scheme"] in cli.OVERLAYS]
+        assert len(rows) == 2 * len(values.split(","))
+        for r in rows:
+            budget = analysis.LinkBudget.from_sim(
+                ambc.SimParams().at(axis, float(r["value"])))
+            assert float(r["ber"]) == closed_forms[r["scheme"]](budget)
+
+
 def test_plot_script_emitted(tmp_path):
     out = run_main(tmp_path, ["--emit-plot-script"])
     script = out.with_suffix(".plot.py")
@@ -172,6 +188,15 @@ def test_plot_script_emitted(tmp_path):
     text = script.read_text()
     assert "semilogy" in text and out.name in text
     compile(text, str(script), "exec")
+
+
+def test_plot_script_compiles_for_any_data_file_name(tmp_path):
+    # the names in the header comment are quoted, so that a newline in
+    # them cannot start a line of code
+    out = run_main(tmp_path, ["--emit-plot-script"], "a\nb.csv")
+    text = out.with_suffix(".plot.py").read_text()
+    compile(text, "a\nb.plot.py", "exec")
+    assert "'a\\nb.csv'" in text.splitlines()[1]
 
 
 # a matplotlib.pyplot stand-in that prints the path savefig is given

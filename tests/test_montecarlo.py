@@ -370,6 +370,17 @@ def test_at_maps_axes_and_rejects_non_integral_values():
         params.at("bogus", 1.0)
     with pytest.raises(ValueError):
         sweep(params.with_(scheme=Scheme.GENIE_CUIF, slots=1), "L", [16.5])
+    # an axis value is a real number, as alpha_sq and snr_db are: float()
+    # would take True as 1 and "6" as 6
+    for axis in ("snr_db", "L", "P", "alpha_sq", "n_iter"):
+        for value in (True, np.True_, "6"):
+            with pytest.raises(ValueError, match=f"{axis} must be a number"):
+                params.at(axis, value)
+    with pytest.raises(ValueError):
+        sweep(params.with_(scheme=Scheme.GENIE_CUIF, slots=1), "P", [True])
+    # numpy numbers pass
+    assert params.at("L", np.float64(16.0)).L == 16
+    assert params.at("snr_db", np.int64(2)).snr_db == 2.0
     # counts are integers: a float or a bool is refused by name, where the
     # sweep would raise TypeError or (slots=2.5) run 2 slots
     for field, value in (("M", 2.5), ("L", 32.0), ("P", 4.0),
