@@ -83,26 +83,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunSpec:
+def parse_args(argv, error=None) -> RunSpec:
+    """An `ambc run` argv's spec; bad values exit via error or parser.error."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    error = error or parser.error
 
     schemes = args.scheme or ["CAMF", "CUIF"]
     try:
         scheme_objs = list(dict.fromkeys(Scheme(s.upper()) for s in schemes))
     except ValueError:
-        parser.error(f"--scheme: unknown scheme in {schemes}")
+        error(f"--scheme: unknown scheme in {schemes}")
     if args.values is None:
         values = DEFAULT_SNR_VALUES if args.axis == "snr_db" else None
         if values is None:
-            parser.error("--values is required for axis " + args.axis)
+            error("--values is required for axis " + args.axis)
     else:
         try:
             values = tuple(dict.fromkeys(map(float, args.values.split(","))))
         except ValueError:
-            parser.error(f"--values: cannot parse {args.values!r}")
+            error(f"--values: cannot parse {args.values!r}")
     if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+        error(f"--workers must be >= 1, got {args.workers}")
     try:
         params = SimParams(scheme=scheme_objs[0],
                            **{field: getattr(args, field) for field in _FIELDS})
@@ -110,7 +112,7 @@ def parse_args(argv) -> RunSpec:
             for value in values:
                 params.with_(scheme=scheme).at(args.axis, value)
     except ValueError as exc:
-        parser.error(f"invalid run parameters: {exc}")
+        error(f"invalid run parameters: {exc}")
     names = [scheme.value for scheme in scheme_objs]
     if args.analytic:
         names += OVERLAYS
@@ -261,9 +263,11 @@ def parse_reproduce_args(argv) -> list[RunSpec]:
               "--workers", str(args.workers)]
     if args.emit_plot_script:
         common.append("--emit-plot-script")
-    # "--out=" keeps an --out value that starts with "-" a value
+    # "--out=" keeps an --out value that starts with "-" a value; a bad
+    # --slots, --seed or --workers is reported with this parser's usage
     return [parse_args(common + REPRODUCE_EXPERIMENTS[name]
-                       + [f"--out={Path(args.out) / f'sweep_{name}.csv'}"])
+                       + [f"--out={Path(args.out) / f'sweep_{name}.csv'}"],
+                       parser.error)
             for name in dict.fromkeys(args.only or REPRODUCE_EXPERIMENTS)]
 
 

@@ -22,8 +22,8 @@ from .ofdm import gen_frame
 _CAL_BITS = np.tile([0, 1], 32)  # ENERGY's labeled calibration symbols
 # Half-width of the uniform error on the genie phase that seeds EM.
 _INITIAL_PHASE_ERROR_BOUND = np.pi / 4
-# CAMF's start offsets (radians) around that phase; CUIF starts once.
-_START_OFFSETS = (0.0, -0.5, 0.5)
+# Each EM scheme's start offsets (radians) around that phase.
+_START_OFFSETS = {Scheme.CAMF: (0.0, -0.5, 0.5), Scheme.CUIF: (0.0,)}
 # Bytes of (L, M) grids one block of slots may fill in _point_counts.
 _BLOCK_BYTES = 640 * 1024
 # One process pool per worker count, made by the first sweep that asks for
@@ -115,12 +115,11 @@ def _em_starts(params: SimParams, theta: float,
     estimator: alpha e^{j(theta_hat + offset)} on every subcarrier, where
     theta_hat is the true phase plus a uniform error, the slot's last draw.
     CAMF's projection ties all subcarriers to one phase and can lock onto a
-    rotated local optimum, so CAMF starts from each of _START_OFFSETS.
+    rotated local optimum, so CAMF has more _START_OFFSETS than CUIF.
     """
     bound = _INITIAL_PHASE_ERROR_BOUND
     theta0 = theta + rng.uniform(-bound, bound)
-    offsets = np.array(_START_OFFSETS if params.scheme is Scheme.CAMF
-                       else (0.0,))
+    offsets = np.array(_START_OFFSETS[params.scheme])
     start = math.sqrt(params.alpha_sq) * np.exp(1j * (theta0 + offsets))
     return np.repeat(start[:, None], params.L, axis=1)
 
@@ -128,10 +127,11 @@ def _em_starts(params: SimParams, theta: float,
 def run_slot(params: SimParams, slot_index: int,
              axis_index: int = 0) -> tuple[int, int]:
     """Bit errors and scored bits of one slot: a chunk of one slot."""
-    return _point_counts((params, axis_index, slot_index, slot_index + 1))
+    return _point_counts(params, axis_index, slot_index, slot_index + 1)
 
 
-def _point_counts(args) -> tuple[int, int]:
+def _point_counts(params: SimParams, axis_index: int, lo: int,
+                  hi: int) -> tuple[int, int]:
     """Bit errors and scored bits of the slots lo..hi - 1 (EM schemes skip
     the pilot, bit 0). Each block of B slots fills the rows of (B, ...)
     arrays made once and is decided by one detector call. It holds one slot
@@ -139,9 +139,8 @@ def _point_counts(args) -> tuple[int, int]:
     complex for R starts a slot, or the genie and energy detectors' five
     (L, M) complex grids a slot, which past glibc's mmap threshold would
     page-fault anew every block."""
-    params, axis_index, lo, hi = args
     em, L, M = params.scheme in EM_SCHEMES, params.L, params.M
-    n_starts = len(_START_OFFSETS) if params.scheme is Scheme.CAMF else 1
+    n_starts = len(_START_OFFSETS.get(params.scheme, ()))
     step = max(1, _BLOCK_BYTES // ((2 * n_starts if em else 5) * L * M * 16))
     B = min(step, hi - lo)
     stack, bits = np.empty((B, L, M), complex), np.empty((B, M), int)
@@ -186,7 +185,7 @@ def _pool_counts(jobs, n_workers: int, retry: bool = True) -> list:
             pool = _pools[n_workers] = ProcessPoolExecutor(
                 max_workers=n_workers)
     try:
-        return list(pool.map(_point_counts, jobs))
+        return list(pool.map(_point_counts, *zip(*jobs)))
     except BrokenProcessPool:
         with _pools_lock:
             if _pools.get(n_workers) is pool:
@@ -224,7 +223,7 @@ def sweep(params: SimParams, axis: str, values,
         chunks = np.linspace(0, p.slots, n_workers + 1).astype(int)
         jobs = [(p, axis_index, int(lo), int(hi))
                 for lo, hi in zip(chunks[:-1], chunks[1:]) if lo < hi]
-        results = (map(_point_counts, jobs) if n_workers == 1
+        results = (map(_point_counts, *zip(*jobs)) if n_workers == 1
                    else _pool_counts(jobs, n_workers))
         errors, total = map(sum, zip(*results))
         runtime_ms = (perf_counter() - start) * 1e3

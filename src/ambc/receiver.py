@@ -22,9 +22,9 @@ _POINT_BY_SIGNS[[0, 256, 1, 257]] = (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
 # an update; absolute and tight, so most descents run to the iteration cap.
 _EPSILON = 1e-12
 # em_run's E-step buffers (em_e_step's out), one flat pair per thread sized
-# by capacity: the largest (B, R, 2, L, M) grid, B slots of R starts of
-# L x M, seen so far. Iterations and blocks take a leading slice instead
-# of allocating, and page-faulting, fresh grids each time.
+# for the largest (B, R, 2, L, M) grid, B slots of R starts of L x M, seen
+# so far. Iterations and blocks take a leading slice instead of
+# allocating, and page-faulting, fresh grids each time.
 _workspace = threading.local()
 
 
@@ -32,9 +32,8 @@ _workspace = threading.local()
 class ReceivedSlot:
     """Frequency-domain received grid y (L x M) and the noise level N0.
 
-    y must not be written once the slot is made: the E-step and the M-step
-    read its per-symbol energy and its conjugate from caches filled on
-    first use.
+    y must not be written once the slot is made: the E-step reads its
+    per-symbol energy from a cache filled on first use.
     """
 
     y: np.ndarray
@@ -44,10 +43,6 @@ class ReceivedSlot:
     def y_energy(self) -> np.ndarray:
         """sum_l |y_lm|^2, per symbol (M,)."""
         return (self.y.real ** 2 + self.y.imag ** 2).sum(axis=-2)
-
-    @cached_property
-    def y_conj(self) -> np.ndarray:
-        return np.conj(self.y)
 
 
 def receive(H: np.ndarray, frame: np.ndarray, backscatter: np.ndarray,
@@ -129,8 +124,8 @@ def em_m_step_unconstrained(slot: ReceivedSlot, H: np.ndarray,
     """
     w = posteriors * _HYPOTHESES
     # conj(sum p s xhat conj(y)) = sum p s conj(xhat) y, since p s is real
-    corr = np.conj(np.einsum("...lms,...lm,...ms->...l", xhat, slot.y_conj,
-                             w))
+    corr = np.conj(np.einsum("...lms,...lm,...ms->...l", xhat,
+                             np.conj(slot.y), w))
     num = corr - E_X * H * np.add.reduce(w, axis=(-2, -1))[..., None]
     den = E_X * np.add.reduce(posteriors, axis=(-2, -1))
     if (den == 0).any():
@@ -162,15 +157,16 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
 
     The common-phase constrained mode (CAMF) projects every M-step estimate
     with project_common_phase. A descent stops when its update moves less
-    than _EPSILON or at the cap; its estimate, last posteriors, last E-step
-    log-likelihood, iterations and convergence flag go to (B x R, ...)
-    arrays at index b * R + r. The batch is (B, R) until a descent stops,
-    then one axis of live descents with their slots' y gathered. Per slot,
-    one argmax picks the highest last log-likelihood (the first on ties),
-    which scores the estimate before the final M-step. Bit 0 is a known +1
-    pilot that fixes the global sign. The E-steps use a leading slice of
-    _workspace's buffers; callers bound B (montecarlo: the (B x R, 2, L, M)
-    grid within _BLOCK_BYTES).
+    than _EPSILON or at the cap; its estimate, last decided bits (+1 where
+    p(+1) >= p(-1)), last E-step log-likelihood, iterations and convergence
+    flag go to (B x R, ...) arrays at index b * R + r. The batch is (B, R)
+    until a descent stops, then one axis of live descents with their slots'
+    y gathered. Per slot, one argmax picks the highest last log-likelihood
+    (the first on ties), which scores the estimate before the final M-step.
+    Bit 0 is a known +1 pilot that fixes the global sign: a winner whose
+    decided pilot is -1 has its bits and estimate negated. The E-steps use
+    a leading slice of _workspace's buffers; callers bound B (montecarlo:
+    the (B x R, 2, L, M) grid within _BLOCK_BYTES).
     """
     if n_iter_max < 1:
         raise ValueError(f"n_iter_max must be >= 1, got {n_iter_max}")
@@ -179,7 +175,7 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
                          f"got {mode!r}")
     n_slots, n_starts, L = starts.shape
     n, M = n_slots * n_starts, slot.y.shape[-1]
-    v_hats, bit_posteriors = np.empty((n, L), complex), np.empty((n, M, 2))
+    v_hats, bits = np.empty((n, L), complex), np.empty((n, M), int)
     scores, iterations = np.empty(n), np.empty(n, int)
     converged = np.empty(n, bool)
     rows, gains, v_tilde, live = (ReceivedSlot(slot.y[:, None], slot.N0),
@@ -189,12 +185,12 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
             break
         grid = v_tilde.shape[:-1] + (2, L, M)
         size = math.prod(grid)
-        if getattr(_workspace, "capacity", 0) < size:
-            _workspace.capacity = size
-            _workspace.buffers = (np.empty(size, dtype=complex),
-                                  np.empty(2 * size, dtype=bool))
-        out = (_workspace.buffers[0][:size].reshape(grid),
-               _workspace.buffers[1][:2 * size].reshape(*grid[:-1], 2 * M))
+        buffers = getattr(_workspace, "buffers", None)
+        if buffers is None or buffers[0].size < size:
+            buffers = _workspace.buffers = (np.empty(size, dtype=complex),
+                                            np.empty(2 * size, dtype=bool))
+        out = (buffers[0][:size].reshape(grid),
+               buffers[1][:2 * size].reshape(*grid[:-1], 2 * M))
         posteriors, xhat, loglik = em_e_step(rows, gains, v_tilde, out=out)
         nu = em_m_step_unconstrained(rows, gains, posteriors, xhat)
         if mode is Scheme.CAMF:
@@ -206,18 +202,17 @@ def em_run(slot: ReceivedSlot, H: np.ndarray, n_iter_max: int, mode: Scheme,
             continue
         v_tilde, stopped = v_tilde.reshape(-1, L), live[done]
         v_hats[stopped], converged[stopped] = v_tilde[done], settled[done]
-        bit_posteriors[stopped] = posteriors.reshape(-1, M, 2)[done]
+        p = posteriors.reshape(-1, M, 2)[done]
+        bits[stopped] = np.where(p[..., 1] >= p[..., 0], 1, -1)
         scores[stopped], iterations[stopped] = loglik.ravel()[done], iteration
         live, v_tilde = live[~done], v_tilde[~done]
         rows = ReceivedSlot(slot.y[live // n_starts], slot.N0)
         gains = H[live // n_starts]
     # argmax keeps the first of equal log-likelihoods
     won = np.arange(0, n, n_starts) + scores.reshape(-1, n_starts).argmax(1)
-    p = bit_posteriors[won]
-    s_hat = np.where(p[..., 1] >= p[..., 0], 1, -1)
     # global sign ambiguity (s, v) <-> (-s, -v): pin the pilot to +1
-    flip = p[:, :1, 1] < 0.5
-    return (np.where(flip, -s_hat, s_hat),
+    flip = bits[won, :1] < 0
+    return (np.where(flip, -bits[won], bits[won]),
             np.where(flip, -v_hats[won], v_hats[won]), iterations[won],
             converged[won])
 

@@ -86,6 +86,18 @@ def test_parse_rejects_unknown_scheme_and_bad_values():
         assert cli.main(argv) == 2, argv
 
 
+def test_reproduce_reports_bad_values_with_its_own_usage(capsys):
+    # the reproduce parser's usage, not the run parser's, whose options
+    # reproduce does not take
+    for flag, value, message in (("--slots", "0", "slots must be >= 1"),
+                                 ("--workers", "0", "--workers must be >= 1"),
+                                 ("--seed", "-1", "seed must be >= 0")):
+        assert cli.main(["reproduce", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ambc reproduce "), err
+        assert "ambc reproduce: error: " in err and message in err, err
+
+
 def test_epsilon_is_not_an_option(capsys):
     # the EM stopping tolerance is fixed in the receiver
     with pytest.raises(SystemExit) as exc:
@@ -112,6 +124,45 @@ def test_csv_output_schema(tmp_path):
     for r in rows:
         assert int(r["total_bits"]) == 10 * 100
         assert float(r["runtime_ms"]) == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_timing_writes_each_points_runtime(tmp_path, monkeypatch, fmt):
+    curves = []
+    execute = cli.execute
+
+    def recording(spec):
+        results = execute(spec)
+        curves.extend(curve for _, curve in results)
+        return results
+
+    monkeypatch.setattr(cli, "execute", recording)
+    out = run_main(tmp_path, ["--timing", "--format", fmt], f"r.{fmt}")
+    if fmt == "csv":
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    else:
+        rows = json.loads(out.read_text())["rows"]
+    runtimes = [float(r["runtime_ms"]) for r in rows]
+    assert runtimes == [p.runtime_ms for c in curves for p in c.points]
+    assert len(runtimes) == 2 and min(runtimes) > 0.0
+
+
+def test_run_subcommand_writes_the_same_files(tmp_path):
+    argv = ["--scheme", "GENIE_CUIF", "--values", "0,4", "--slots", "3",
+            "--analytic", "--emit-plot-script"]
+    assert cli.main(["run", *argv, "--out", str(tmp_path / "run" / "r.csv")
+                     ]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "bare" / "r.csv")]) == 0
+    for name in ("r.csv", "r.plot.py"):
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "bare" / name).read_bytes())
+
+
+def test_write_results_needs_a_curve(tmp_path):
+    spec = cli.parse_args(["--out", str(tmp_path / "r.csv")])
+    with pytest.raises(ValueError, match="no curves to write"):
+        cli.write_results([], spec)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -313,6 +364,18 @@ def test_reproduce_counts_pinned(tmp_path):
     assert bits == {990}
 
 
+def test_reproduce_emits_every_plot_script(tmp_path, capsys):
+    assert all(spec.emit_plot_script for spec in
+               cli.parse_reproduce_args(["--emit-plot-script"]))
+    assert cli.main(["reproduce", "--out", str(tmp_path), "--slots", "1",
+                     "--emit-plot-script"]) == 0
+    written = capsys.readouterr().out.splitlines()
+    for name in cli.REPRODUCE_EXPERIMENTS:
+        script = tmp_path / f"sweep_{name}.plot.py"
+        assert str(script) in written
+        compile(script.read_text(), str(script), "exec")
+
+
 def test_reproduce_only_subset_runs(tmp_path, capsys):
     rc = cli.main(["reproduce", "--out", str(tmp_path), "--slots", "2",
                    "--only", "paths", "--only", "paths"])
@@ -395,6 +458,41 @@ def test_unwritable_plot_script_fails_before_any_sweep(tmp_path, monkeypatch,
     assert not (tmp_path / "pp" / "r.csv").exists()
     assert sorted(p.name for p in (tmp_path / "pp").iterdir()) == [
         "r.plot.py"]
+
+
+def test_failed_sweep_is_one_line_error(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise ValueError("no slots left")
+
+    monkeypatch.setattr(cli.montecarlo, "sweep", failing)
+    out = tmp_path / "r.csv"
+    assert cli.main(["--scheme", "GENIE_CUIF", "--values", "0",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ambc: sweep failed: no slots left"]
+    assert not out.exists()
+
+
+def test_write_failing_after_the_check_is_one_line_error(tmp_path,
+                                                         monkeypatch, capsys):
+    # --out passes the up-front check, then becomes a directory while the
+    # sweep runs
+    out = tmp_path / "r.csv"
+    execute = cli.execute
+
+    def execute_then_take_out(spec):
+        results = execute(spec)
+        out.mkdir()
+        return results
+
+    monkeypatch.setattr(cli, "execute", execute_then_take_out)
+    assert cli.main(["--scheme", "GENIE_CUIF", "--values", "0", "--slots",
+                     "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("ambc: cannot write results: "), lines
+    assert captured.out == ""
 
 
 # Run in a fresh interpreter: import ambc, run the CLI on argv, and print

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,10 @@ def test_em_scheme_needs_a_data_bit_after_the_pilot():
         with pytest.raises(ValueError):
             SimParams(M=1, scheme=scheme)
     assert run_slot(SimParams(M=1, scheme=Scheme.GENIE_CAMF), 0)[1] == 1
+    # no scheme runs without a symbol
+    for scheme in Scheme:
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            SimParams(M=0, scheme=scheme)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -514,6 +519,26 @@ def test_broken_pool_is_replaced(fresh_pools):
     assert not worker.is_alive()
     assert counts(sweep(params, "snr_db", values, n_workers=2)) == serial
     assert fresh_pools[2] is not pool
+
+
+def test_pool_broken_twice_raises_and_is_not_kept(fresh_pools, monkeypatch):
+    # a pool whose map breaks on the first try and on the retry: the error
+    # reaches the caller and neither pool stays cached; no worker starts
+    made = []
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, *iterables):
+            raise BrokenProcessPool("worker died")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    params = SimParams(scheme=Scheme.GENIE_CUIF, slots=4, seed=10)
+    with pytest.raises(BrokenProcessPool):
+        sweep(params, "snr_db", [0.0], n_workers=2)
+    assert made == [2, 2]
+    assert fresh_pools == {}
 
 
 @pytest.mark.parametrize("seed, snr_db",

@@ -36,6 +36,19 @@ def test_constellation_rejects_nonconstant_modulus():
                       symbol_energy=1.0)
 
 
+def test_constellation_rejects_nonzero_mean():
+    # constant modulus, but all four points in one half-plane
+    points = np.sqrt(2.0) * np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]))
+    with pytest.raises(ValueError, match="not zero-mean"):
+        Constellation(points=points, symbol_energy=2.0)
+
+
+def test_gen_frame_rejects_an_empty_grid():
+    for L, M in ((0, 4), (4, 0), (-1, 4)):
+        with pytest.raises(ValueError, match="L and M must be >= 1"):
+            gen_frame(L, M, np.random.default_rng(0))
+
+
 def test_gen_frame_entries_in_constellation():
     frame = gen_frame(32, 100, np.random.default_rng(0))
     assert frame.shape == (32, 100)

@@ -193,13 +193,15 @@ class TestReceive:
             assert np.array_equal(y.view(np.uint64), expected.view(np.uint64))
 
     def test_cached_energy_and_conjugate(self):
-        slot = make_slot(3)[-2]
+        _, (H, _, _), _, _, slot, _ = make_slot(3)
         y = slot.y
         assert np.array_equal(slot.y_energy,
                               (y.real ** 2 + y.imag ** 2).sum(axis=0))
-        assert np.array_equal(slot.y_conj, np.conj(y))
         assert slot.y_energy is slot.y_energy
-        assert slot.y_conj is slot.y_conj
+        # the energy is the only cache: each M-step conjugates y afresh
+        posteriors, xhat, _ = em_e_step(slot, H, np.ones_like(H))
+        em_m_step_unconstrained(slot, H, posteriors, xhat)
+        assert vars(slot).keys() == {"y", "N0", "y_energy"}
 
 
 class TestEStep:
@@ -286,8 +288,39 @@ class TestEStep:
         posteriors, _, _ = em_e_step(slot, H, np.full(32, 0.3 + 0.1j))
         assert np.all(np.isfinite(posteriors))
 
+    def test_half_threshold_is_the_posterior_comparison(self):
+        # em_run pins the pilot on its decided bit, p(+1) >= p(-1); that is
+        # p(+1) >= 0.5 only while the softmax keeps the two sides of each
+        # tie equal, at any noise level, on exact ties (y = 0 or v = 0) and
+        # on near-ties (|v| tiny)
+        rng = np.random.default_rng(58)
+        L, M = 8, 50
+        H = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        ys = [rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
+              for _ in range(4)] + [np.zeros((L, M), complex)]
+        vs = [rng.standard_normal((6, L)) + 1j * rng.standard_normal((6, L)),
+              np.zeros((1, L), complex)]
+        vs += [scale * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, L)))
+               for scale in (1e-300, 1e-12)]
+        ties = 0
+        for N0 in 10.0 ** np.arange(-6, 7):
+            for y in ys:
+                slot = receiver.ReceivedSlot(y=y, N0=N0)
+                for v in vs:
+                    p, _, _ = em_e_step(slot, H, v)
+                    assert np.array_equal(p[..., 1] < 0.5,
+                                          p[..., 1] < p[..., 0])
+                    ties += np.count_nonzero(p[..., 1] == p[..., 0])
+        assert ties > 0
+
 
 class TestMStep:
+    def test_rejects_all_zero_posteriors(self):
+        _, (H, _, _), _, _, slot, _ = make_slot(5)
+        _, xhat, _ = em_e_step(slot, H, np.full(32, 0.3 + 0.1j))
+        with pytest.raises(ValueError, match="degenerate M-step"):
+            em_m_step_unconstrained(slot, H, np.zeros((100, 2)), xhat)
+
     def test_single_point_least_squares(self):
         y = np.array([[2 * (1 + 1j)]])
         slot = receiver.ReceivedSlot(y=y, N0=1.0)
